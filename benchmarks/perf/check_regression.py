@@ -30,7 +30,6 @@ KEY_BENCHES = (
     "similarity_scalar",
     "stats_hot_counters",
     "core_step_loop",
-    "core_hit_run",
     "l1_hit_path_mesi",
     "l1_hit_path_ghostwriter",
     "sweep_wall_clock_batch",

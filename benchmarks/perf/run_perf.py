@@ -188,46 +188,6 @@ def bench_core_step_loop(n: int):
     return thunk, n
 
 
-def bench_core_hit_run(n: int):
-    """The vectorized hit-run fast lane (repro.core.hitrun) on a mixed
-    load/store/scribble stream inside an approximate region: one core
-    cycling 4 resident blocks, so after the cold fills every op is a
-    guaranteed L1 hit and the lane merges whole quanta as numpy
-    kernels — the store/scribble kernel paths core_step_loop's all-load
-    stream never reaches."""
-    from repro.common.config import small_config
-    from repro.isa.compiled import (
-        CompiledProgram, OP_LOAD, OP_SCRIBBLE, OP_SETAPRX, OP_STORE,
-    )
-    from repro.sim.machine import Machine
-
-    ops = [OP_SETAPRX]
-    addrs = [0]
-    vals = [0]
-    cycs = [6]
-    pattern = (OP_LOAD, OP_STORE, OP_LOAD, OP_SCRIBBLE)
-    for i in range(n):
-        code = pattern[i % 4]
-        ops.append(code)
-        addrs.append(0x1000 + (i % 4) * 64 + ((i * 7) % 16) * 4)
-        vals.append(0 if code == OP_LOAD else (i * 3) & 0x3F)
-        cycs.append(0)
-    prog = CompiledProgram(
-        np.asarray(ops, dtype=np.int8),
-        np.asarray(addrs, dtype=np.int64),
-        np.asarray(vals, dtype=np.int64),
-        np.asarray(cycs, dtype=np.int64),
-        validate_loads=False,
-    )
-    cfg = small_config(num_cores=1, enabled=True, d_distance=6)
-
-    def thunk() -> None:
-        m = Machine(cfg)
-        m.add_thread(0, prog)
-        m.run()
-    return thunk, n
-
-
 def _sweep_grid_points(n: int):
     """The dense d-distance x GI-timeout sweep grid both sweep benches
     run: ``n`` d values crossed with two GI timeouts on the histogram
@@ -364,8 +324,7 @@ def bench_noc_route_chiplet(n: int):
 def bench_checkpoint_roundtrip(n: int):
     """Factory: one whole-machine capture -> restore round trip
     (``repro.sim.state.MachineCheckpoint``) on a warmed 2-core machine —
-    the unit of work the batch backend's fork-at-divergence pays per
-    forked representative, and the CLI pays per recorder window."""
+    the unit of work the CLI pays per recorder window."""
     from repro.common.config import small_config
     from repro.isa.compiled import ProgramCache, ProgramSpec
     from repro.isa.instructions import Compute, Load, SetAprx, Store
@@ -446,7 +405,6 @@ BENCHMARKS: list[tuple[str, Callable, int, int]] = [
     ("ddistance_array", bench_ddistance_array, 1_000_000, 1_000),
     ("workload_false_sharing", bench_workload_false_sharing, 1024, 96),
     ("core_step_loop", bench_core_step_loop, 50_000, 500),
-    ("core_hit_run", bench_core_hit_run, 50_000, 500),
     ("sweep_wall_clock", bench_sweep_wall_clock, 32, 4),
     ("sweep_wall_clock_batch", bench_sweep_wall_clock_batch, 32, 4),
     ("noc_route_chiplet", bench_noc_route_chiplet, 40_000, 4_096),

@@ -47,13 +47,6 @@ __all__ = ["L1Controller"]
 _S = CoherenceState
 _RETRY_DELAY = 4  # cycles between structural-stall retries
 
-#: stable states the hit-run fast lane may treat as resident: the lane's
-#: residency mirror tracks exactly the blocks whose next access *cannot*
-#: allocate, evict, or race a transient transaction.  I is excluded (a
-#: scribble on I may transition to GI); transient states are excluded by
-#: definition.
-_MIRROR_STATES = frozenset((_S.S, _S.E, _S.M, _S.O, _S.GS, _S.GI))
-
 
 class _WbEntry:
     """Evicted E/M block parked until the directory acks the PUT."""
@@ -108,15 +101,6 @@ class L1Controller:
             engine=engine,
         )
         self._wb_buffer: dict[int, deque[_WbEntry]] = {}
-        #: residency mirror (hit-run fast lane): block -> (line, set_idx,
-        #: way) for every line in a stable hit-capable state (see
-        #: ``_MIRROR_STATES``).  Maintained incrementally by
-        #: ``_set_state``/``_evict`` and rebuilt wholesale by
-        #: ``restore`` — never serialized.  A *missing* entry is always
-        #: safe (the lane falls back to scalar); a stale entry never
-        #: exists because every state change funnels through
-        #: ``_set_state`` and every eviction through ``_evict``.
-        self._mirror: dict[int, tuple[CacheLine, int, int]] = {}
         self._gi_blocks: set[int] = set()
         self._gi_timer_armed = False
         self._block_bytes = cfg.block_bytes
@@ -161,14 +145,6 @@ class L1Controller:
     def _set_state(self, line: CacheLine, new: CoherenceState, why: str) -> None:
         old = line.state
         line.state = new
-        tag = line.tag
-        if new in _MIRROR_STATES:
-            mirror = self._mirror
-            if tag not in mirror:
-                idx, way = self.array.position_of(line, tag)
-                mirror[tag] = (line, idx, way)
-        else:
-            self._mirror.pop(tag, None)
         if old is not new and old is not None:
             hook = self.transition_hook
             if hook is not None:
@@ -223,8 +199,9 @@ class L1Controller:
 
         ``block``/``off`` accept the address decomposition when the
         caller already has it — the compiled interpreter passes the
-        per-op columns its :class:`~repro.isa.compiled.HitRunPlan`
-        precomputed, skipping the per-access shift/mask arithmetic.
+        per-op columns of
+        :meth:`~repro.isa.compiled.CompiledProgram.address_columns`,
+        skipping the per-access shift/mask arithmetic.
         """
         if block is None:
             block = addr & ~self._off_mask
@@ -548,7 +525,6 @@ class L1Controller:
                     self.engine.now, EventKind.STATE, self.node, block,
                     f"{state.value}->I", "eviction",
                 ))
-        self._mirror.pop(block, None)
         line.clear()
 
     # ------------------------------------------------------------------
@@ -929,18 +905,6 @@ class L1Controller:
         watchdog's diagnostic dump and the invariant monitor's skip set)."""
         return {block: len(q) for block, q in self._wb_buffer.items()}
 
-    def wb_buffer_snapshot(self) -> dict[int, int]:
-        """Deprecated alias of :meth:`wb_buffer_occupancy` — "snapshot"
-        now refers to the restorable checkpoint layer."""
-        import warnings
-
-        warnings.warn(
-            "L1Controller.wb_buffer_snapshot() is deprecated; use "
-            "wb_buffer_occupancy() (or MachineCheckpoint for restorable "
-            "state)", DeprecationWarning, stacklevel=2,
-        )
-        return self.wb_buffer_occupancy()
-
     # ------------------------------------------------------------------
     # checkpoint layer
     # ------------------------------------------------------------------
@@ -981,14 +945,3 @@ class L1Controller:
         self._gi_blocks = set(blob["gi_blocks"])
         self._gi_timer_armed = blob["gi_timer_armed"]
         self.scribe.restore(blob["scribe"])
-        self._rebuild_mirror()
-
-    def _rebuild_mirror(self) -> None:
-        """Recompute the residency mirror from the canonical array (the
-        mirror is derived state and is never serialized)."""
-        mirror = self._mirror
-        mirror.clear()
-        for line in self.array.iter_valid():
-            if line.state in _MIRROR_STATES:
-                idx, way = self.array.position_of(line, line.tag)
-                mirror[line.tag] = (line, idx, way)

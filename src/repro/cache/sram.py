@@ -228,21 +228,6 @@ class CacheArray:
         """The ways of the set this block maps to."""
         return self._ways((block_addr >> self._blk_shift) & self._set_mask)
 
-    def position_of(self, line: CacheLine, block_addr: int) -> tuple[int, int]:
-        """``(set_index, way)`` of a resident line.
-
-        Lines never migrate between ways once installed (allocation
-        claims a way in place), so the position is stable until the line
-        is evicted — the residency mirror caches it to emulate PLRU
-        touches without per-op tag lookups.
-        """
-        idx = (block_addr >> self._blk_shift) & self._set_mask
-        return idx, self._sets[idx].index(line)
-
-    def plru_of(self, set_idx: int) -> _PlruTree:
-        """The PLRU tree of one materialized set (fast-lane touch path)."""
-        return self._plru[set_idx]
-
     def occupancy(self) -> int:
         """Number of valid lines in the array."""
         return sum(1 for _ in self.iter_valid())

@@ -104,8 +104,8 @@ class StatGroup:
     def bulk_add(self, name: str, n: int) -> None:
         """Add ``n`` to counter ``name`` in one update.
 
-        The vectorized paths (the hit-run fast lane, GI flash sweeps,
-        approx flushes) account for a whole batch of events at once;
+        The batched paths (GI flash sweeps, approx flushes) account
+        for a whole batch of events at once;
         ``bulk_add`` is the single-dict-op equivalent of bumping the
         counter ``n`` times in a loop.
         """

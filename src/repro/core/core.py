@@ -34,8 +34,6 @@ from repro.common.stats import StatGroup
 from repro.common.types import AccessType
 from repro.isa.approx import ApproxManager
 from repro.isa import instructions as isa
-from repro.core import hitrun as _hitrun
-from repro.core.hitrun import try_hit_run
 from repro.isa.compiled import (
     CompiledProgram, ProgramRecorder, ProgramSpec, replay_to_completion,
     resync_generator,
@@ -64,14 +62,10 @@ def _prog_blob(prog: CompiledProgram) -> dict:
 
 
 def _prog_from_blob(blob: dict) -> CompiledProgram:
-    """Rebuild a compiled program from :func:`_prog_blob` columns.
-
-    Columns are copied so checkpoint consumers (the batch backend's
-    fork-at-divergence substitution) may mutate them freely without
-    aliasing the cached program."""
+    """Rebuild a compiled program from :func:`_prog_blob` columns."""
     return CompiledProgram(
-        blob["op"].copy(), blob["addr"].copy(), blob["value"].copy(),
-        blob["cycles"].copy(), dict(blob["objs"]), dict(blob["ranges"]),
+        blob["op"], blob["addr"], blob["value"], blob["cycles"],
+        dict(blob["objs"]), dict(blob["ranges"]),
         validate_loads=blob["validate"],
     )
 
@@ -95,9 +89,6 @@ class Core:
         self.stats = stats
         self._hit_latency = l1.cfg.l1.hit_latency
         self.quantum_cycles = max(1, quantum) * self._hit_latency
-        #: hit-run fast lane enable (config knob; tracing/hooks disable
-        #: it dynamically per attempt — see repro.core.hitrun)
-        self._lane = getattr(l1.cfg, "fast_lane", True)
         self.approx = ApproxManager()
         self.done = False
         self.finish_cycle: int | None = None
@@ -134,11 +125,8 @@ class Core:
         self._vals: list[int] = []
         self._cycs: list[int] = []
         self._objs: dict[int, object] = {}
-        self._plan = None             # HitRunPlan of the bound program
-        self._blks: list[int] = []    # plan's block column (list view)
-        self._wofs: list[int] = []    # plan's word-offset column
-        self._lane_skip = 0           # steps left in lane-attempt backoff
-        self._lane_penalty = 1        # next backoff span (doubles to 32)
+        self._blks: list[int] = []    # per-op block address column
+        self._wofs: list[int] = []    # per-op word-offset column
         if isinstance(program, CompiledProgram):
             self._bind_compiled(program)
         elif isinstance(program, ProgramSpec):
@@ -164,12 +152,9 @@ class Core:
         create barriers after binding threads."""
         self._compiled = prog
         self._ops, self._addrs, self._vals, self._cycs = prog.lists()
-        # compile-time address decomposition + run-break/cost tables,
-        # memoized per geometry on the program (shared across a sweep)
-        self._plan = prog.hit_plan(self.l1.cfg.block_bytes,
-                                   self._hit_latency)
-        self._blks = self._plan.block_list
-        self._wofs = self._plan.woff_list
+        # compile-time address decomposition, memoized per block size on
+        # the program (shared across a sweep)
+        self._blks, self._wofs = prog.address_columns(self.l1.cfg.block_bytes)
         return self._resolve_objs()
 
     def _resolve_objs(self) -> bool:
@@ -374,7 +359,7 @@ class Core:
             self._cpc = 0
             self._ops, self._addrs, self._vals = [], [], []
             self._cycs, self._objs = [], {}
-            self._plan, self._blks, self._wofs = None, [], []
+            self._blks, self._wofs = [], []
             return
         raise ValueError(f"unknown core snapshot mode {mode!r}")
 
@@ -391,33 +376,6 @@ class Core:
         access = self.l1.access
 
         if self._compiled is not None:
-            # -- hit-run fast lane: vectorize the pending run when every
-            # op in it is a guaranteed L1 hit (repro.core.hitrun); falls
-            # through to the scalar loop otherwise.  The inline horizon
-            # gate (same bound try_hit_run re-checks) keeps contended
-            # quantum-1 phases — where the next queued event is cycles
-            # away and no merge can fit — at plain-int cost per step.
-            if self._lane and not self._awaiting_load:
-                if self._lane_skip:
-                    self._lane_skip -= 1
-                else:
-                    if (not engine.until_active
-                            and (not (q := engine._queue)
-                                 or q[0][0] - engine.now - 1 + budget
-                                 >= _hitrun.MIN_RUN * hit_latency)
-                            and try_hit_run(self)):
-                        self._lane_penalty = 1
-                        return
-                    # no merge this step (horizon closed, window
-                    # active, or a failed attempt that paid for
-                    # classification): back off deterministically so
-                    # contended phases stay near scalar cost — at most
-                    # 32 ops of merge latency, against MIN_RUN-sized
-                    # merges when a private streak opens up
-                    penalty = self._lane_penalty
-                    self._lane_skip = penalty
-                    if penalty < 32:
-                        self._lane_penalty = penalty * 2
             # -- compiled fast loop: no generator, no op objects --------
             ops = self._ops
             addrs = self._addrs

@@ -5,6 +5,6 @@ consolidated run-configuration value accepted by ``experiment_config``,
 ``run_workload``, ``run_pair``, ``SweepCache``, ``faults.sweep`` and the
 figures CLI.
 """
-from repro.harness.options import RunOptions, resolve_options
+from repro.harness.options import RunOptions
 
-__all__ = ["RunOptions", "resolve_options"]
+__all__ = ["RunOptions"]

@@ -49,8 +49,7 @@ __all__ = [
     "OP_LOAD", "OP_STORE", "OP_SCRIBBLE", "OP_COMPUTE", "OP_BARRIER",
     "OP_ACQUIRE", "OP_RELEASE", "OP_SETAPRX", "OP_ENDAPRX",
     "OP_APPROX_BEGIN", "OP_APPROX_END", "OP_FLUSH", "OP_NAMES",
-    "CompiledProgram", "HitRunPlan", "ProgramRecorder", "ProgramSpec",
-    "ProgramCache",
+    "CompiledProgram", "ProgramRecorder", "ProgramSpec", "ProgramCache",
     "resync_generator", "replay_to_completion", "lower_trace",
 ]
 
@@ -95,7 +94,7 @@ class CompiledProgram:
     """
 
     __slots__ = ("op", "addr", "value", "cycles", "objs", "ranges",
-                 "segment_starts", "validate_loads", "_lists", "_plans")
+                 "segment_starts", "validate_loads", "_lists", "_addr_cols")
 
     def __init__(
         self,
@@ -120,7 +119,7 @@ class CompiledProgram:
         self.segment_starts = self._segments()
         self.validate_loads = validate_loads
         self._lists: tuple[list, list, list, list] | None = None
-        self._plans: dict[tuple[int, int], HitRunPlan] = {}
+        self._addr_cols: dict[int, tuple[list, list]] = {}
 
     def _segments(self) -> tuple[int, ...]:
         starts = [0] if len(self.op) else []
@@ -149,67 +148,21 @@ class CompiledProgram:
         return (self.op.nbytes + self.addr.nbytes + self.value.nbytes
                 + self.cycles.nbytes)
 
-    def hit_plan(self, block_bytes: int, hit_latency: int) -> "HitRunPlan":
-        """The memoized :class:`HitRunPlan` for one cache geometry.
+    def address_columns(self, block_bytes: int) -> tuple[list, list]:
+        """Per-op block base address and word offset, as plain lists.
 
-        Keyed by ``(block_bytes, hit_latency)`` because the block/word
-        decomposition depends on the block size and the per-op cost
-        column on the L1 hit latency; a sweep sharing one compiled
-        program across many machines with identical geometry reuses one
-        plan.
+        The scalar interpreter hands these to ``L1Controller.access`` so
+        the per-access address arithmetic happens once per program
+        rather than once per executed op; memoized per block size, so a
+        sweep sharing one compiled program reuses one decomposition.
         """
-        key = (block_bytes, hit_latency)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = HitRunPlan(self, block_bytes, hit_latency)
-            self._plans[key] = plan
-        return plan
-
-
-class HitRunPlan:
-    """Compile-time side tables for the hit-run fast lane.
-
-    Everything here is a pure function of the op stream and the cache
-    geometry — no run-time machine state:
-
-    * ``block``/``woff`` — per-op block base address and word offset
-      (zero for non-memory ops): the per-access address arithmetic the
-      scalar path recomputes per op, hoisted to compile time.
-    * ``breaks`` — sorted positions of *static run breaks*: every op
-      that blocks, releases a lock, reprograms the scribe unit, edits
-      approx ranges, or flushes (opcode >= ``OP_BARRIER``).  A hit run
-      can never extend across one.
-    * ``cost``/``cum`` — per-op quantum cost (hit latency for memory
-      ops, the cycles column for computes) and its prefix sum, so the
-      lane finds scalar-identical quantum boundaries with
-      ``searchsorted`` instead of replaying the cost loop.
-    """
-
-    __slots__ = ("block", "woff", "breaks", "cost", "cum",
-                 "block_list", "woff_list")
-
-    def __init__(self, prog: CompiledProgram, block_bytes: int,
-                 hit_latency: int) -> None:
-        op = prog.op
-        off_mask = block_bytes - 1
-        self.block = prog.addr & ~np.int64(off_mask)
-        self.woff = (prog.addr & np.int64(off_mask)) >> 2
-        self.breaks = np.flatnonzero(op >= OP_BARRIER).astype(np.int64)
-        is_mem = op < OP_COMPUTE
-        cost = np.where(is_mem, np.int64(hit_latency), prog.cycles)
-        cost = np.where(op > OP_COMPUTE, np.int64(1), cost)
-        self.cost = cost.astype(np.int64)
-        self.cum = np.cumsum(self.cost)
-        #: plain-list views for the scalar interpreter (same rationale
-        #: as CompiledProgram.lists)
-        self.block_list = self.block.tolist()
-        self.woff_list = self.woff.tolist()
-
-    def run_end(self, pc: int) -> int:
-        """First static break position at/after ``pc`` (or stream end)."""
-        breaks = self.breaks
-        i = np.searchsorted(breaks, pc)
-        return int(breaks[i]) if i < len(breaks) else len(self.cost)
+        cols = self._addr_cols.get(block_bytes)
+        if cols is None:
+            off_mask = np.int64(block_bytes - 1)
+            cols = ((self.addr & ~off_mask).tolist(),
+                    ((self.addr & off_mask) >> 2).tolist())
+            self._addr_cols[block_bytes] = cols
+        return cols
 
 
 class ProgramRecorder:

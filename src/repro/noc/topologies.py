@@ -6,9 +6,7 @@ the registry maps the ``NocConfig.topology`` name to an implementation.
 Four topologies ship:
 
 ``mesh``
-    The paper's 2D mesh with dimension-ordered (X-then-Y) routing —
-    byte-identical to the arithmetic that used to live on
-    ``NocConfig.coords``/``hops`` and ``repro.noc.topology.xy_route``,
+    The paper's 2D mesh with dimension-ordered (X-then-Y) routing,
     including the ``hops + 1`` router-traversal count the DSENT-style
     energy model charges.
 ``ring``

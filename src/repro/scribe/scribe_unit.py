@@ -58,9 +58,8 @@ class ScribeUnit:
         self.bus = None
         #: decision-trace probe (repro.sim.batch): a list that records
         #: every comparator decision as
-        #: ``(write_word, block_word, programmed_d, line_state, ok, cycle)``
-        #: (cycle is -1 when no engine is attached); None keeps the hot
-        #: path to a single attribute check
+        #: ``(write_word, block_word, programmed_d, line_state, ok)``;
+        #: None keeps the hot path to a single attribute check
         self.probe = None
 
     # -- setaprx / endaprx --------------------------------------------
@@ -83,31 +82,6 @@ class ScribeUnit:
             ((write_word ^ block_word) & WORD_MASK).bit_length()
         ] += 1
 
-    def observe_bulk(self, buckets) -> None:
-        """Vectorized :meth:`observe`: fold per-bucket counts into the
-        Fig. 2 histogram in one pass.
-
-        ``buckets`` is a ``d_distance_array`` output (one d-distance per
-        observed store); the fast lane hands a whole hit run's worth at
-        once instead of one dict increment per store.
-        """
-        import numpy as np
-
-        counts = np.bincount(buckets)
-        hist = self._hist_counts
-        for d, n in enumerate(counts.tolist()):
-            if n:
-                hist[d] += n
-
-    def count_passes(self, n: int) -> None:
-        """Vectorized pass accounting: ``n`` comparator checks passed.
-
-        The fast lane only merges scribbles whose checks *pass* (a
-        failing check is a run break executed scalar), so its bulk
-        update is always on the pass counter.
-        """
-        self._counters["passes"] += n
-
     def check(self, write_word: int, block_word: int,
               block: int = -1, state=None) -> bool:
         """The ``approx`` output signal: True when the scribble may be
@@ -127,8 +101,7 @@ class ScribeUnit:
         self._counters["passes" if ok else "fails"] += 1
         if self.probe is not None:
             self.probe.append(
-                (write_word, block_word, self.d_distance, state, ok,
-                 self.engine.now if self.engine is not None else -1)
+                (write_word, block_word, self.d_distance, state, ok)
             )
         bus = self.bus
         if bus is not None:

@@ -44,7 +44,7 @@ class Engine:
     """Minimal event-driven scheduler with a global cycle clock."""
 
     __slots__ = ("_queue", "_seq", "now", "events_executed", "_running",
-                 "timeout_hook", "run_limit", "until_active", "_merged")
+                 "timeout_hook")
 
     def __init__(self) -> None:
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
@@ -55,28 +55,6 @@ class Engine:
         #: optional context provider appended to timeout diagnostics —
         #: the machine installs one reporting per-core finish status
         self.timeout_hook: Callable[[], str] | None = None
-        #: the active run()'s max_cycles bound; the hit-run fast lane
-        #: refuses to merge a step past it so the timeout fires at the
-        #: same cycle as scalar execution
-        self.run_limit: int | None = None
-        #: True while run_until() is dispatching.  Bounded windows place
-        #: an implicit event horizon at the cap cycle that the fast
-        #: lane's queue peek cannot see, so the lane disables itself
-        #: whenever this is set (checkpoint recorder, drain windows).
-        self.until_active = False
-        self._merged = 0
-
-    def absorb_merged_events(self, n: int) -> None:
-        """Account for ``n`` events executed vectorially, not via the queue.
-
-        The hit-run fast lane collapses a chain of ``n + 1`` core-step
-        events into one vector application plus one real scheduled
-        event.  Bumping ``_seq`` and the merged-event counter here keeps
-        ``snapshot()``'s seq and ``events_executed`` — and therefore
-        checkpoint fingerprints — bit-identical to scalar execution.
-        """
-        self._seq += n
-        self._merged += n
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0)."""
@@ -186,8 +164,6 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
         self._running = True
-        self.run_limit = max_cycles
-        merged0 = self._merged
         try:
             queue = self._queue
             pop = heapq.heappop
@@ -212,18 +188,15 @@ class Engine:
                 else:
                     while queue and queue[0][0] == cycle:
                         executed += 1
-                        if executed + (self._merged - merged0) > max_events:
+                        if executed > max_events:
                             self.events_executed = executed
                             raise SimulationTimeout(self._timeout_message(
                                 f"simulation exceeded {max_events} events"
                             ))
                         pop(queue)[2]()
         finally:
-            # merged fast-lane steps count as executed events so the
-            # externally visible tally matches scalar execution
-            self.events_executed = executed + (self._merged - merged0)
+            self.events_executed = executed
             self._running = False
-            self.run_limit = None
         return self.now
 
     def _timeout_message(self, what: str) -> str:
@@ -264,7 +237,6 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run_until() is not re-entrant")
         self._running = True
-        self.until_active = True
         executed = self.events_executed
         budget = None if max_events is None else executed + max_events
         try:
@@ -286,5 +258,4 @@ class Engine:
         finally:
             self.events_executed = executed
             self._running = False
-            self.until_active = False
         return self.now

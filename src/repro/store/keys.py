@@ -57,10 +57,6 @@ EXECUTION_FIELDS = frozenset({
     # by the differential suite), so a row computed either way satisfies
     # a lookup from the other
     "backend",
-    # ditto the vectorized hit-run fast lane (repro.core.hitrun): rows
-    # computed lane-on and lane-off are interchangeable by the fast-lane
-    # equivalence suite
-    "fast_lane",
 })
 
 

@@ -35,7 +35,9 @@ import random
 from dataclasses import dataclass, replace as dc_replace
 from pathlib import Path
 
-from repro.common.config import FaultConfig, VerifyConfig, small_config
+from repro.common.config import (
+    FaultConfig, VerifyConfig, noc_for_topology, small_config,
+)
 from repro.isa.instructions import (
     Compute, FlushApprox, Load, Scribble, SetAprx, Store,
 )
@@ -43,8 +45,7 @@ from repro.sim.machine import Machine
 
 __all__ = [
     "FuzzTrace", "FuzzFailure", "approx_drops",
-    "generate_trace", "run_trace", "run_trace_batch",
-    "run_trace_fastlane", "run_matrix",
+    "generate_trace", "run_trace", "run_trace_batch", "run_matrix",
     "minimize_trace", "save_corpus_trace", "load_corpus_trace", "main",
     "PROTOCOL_MATRIX", "BATCH_LANE_DS",
 ]
@@ -52,11 +53,13 @@ __all__ = [
 #: the protocol configurations every trace is exercised under: both
 #: precise bases, every approximation-capable registry variant, one
 #: approximation-stripped variant (update-hybrid keeps its write-update
-#: mechanism even with approximation off), and two batch-backend
+#: mechanism even with approximation off), two batch-backend
 #: differentials (:func:`run_trace_batch`) exercising the lockstep
-#: lane-sharing proof of :mod:`repro.sim.batch`.  Entries are
-#: ``(protocol, gw)`` or ``(protocol, gw, backend)``; a missing backend
-#: means ``"serial"``.
+#: lane-sharing proof of :mod:`repro.sim.batch`, and Ghostwriter on every
+#: non-mesh topology (race timing follows the route latencies).  Entries
+#: are ``(protocol, gw)``, ``(protocol, gw, backend)`` or ``(protocol,
+#: gw, backend, topology)``; a missing backend means ``"serial"`` and a
+#: missing topology ``"mesh"``.
 PROTOCOL_MATRIX: tuple[tuple, ...] = (
     ("mesi", False), ("ghostwriter", True),
     ("moesi", False), ("ghostwriter-moesi", True),
@@ -65,16 +68,10 @@ PROTOCOL_MATRIX: tuple[tuple, ...] = (
     ("update-hybrid", True), ("update-hybrid", False),
     ("ghostwriter", True, "batch"),
     ("gw-gi-only", True, "batch"),
-    # hit-run fast-lane differentials (:func:`run_trace_fastlane`):
-    # every trace replayed compiled, lane-on vs lane-off, must be
-    # bit-identical in fingerprint and engine accounting
-    ("ghostwriter", True, "fastlane"),
-    ("mesi", False, "fastlane"),
+    ("ghostwriter", True, "serial", "ring"),
+    ("ghostwriter", True, "serial", "chiplet"),
+    ("ghostwriter", True, "serial", "crossbar"),
 )
-
-#: legacy (base, gw=True) spellings still accepted by :func:`run_trace`;
-#: translated here so old callers don't trip the config-layer shim
-_LEGACY_GW = {"mesi": "ghostwriter", "moesi": "ghostwriter-moesi"}
 
 _BASE = 0x8000
 _WORDS_PER_BLOCK = 16
@@ -185,21 +182,25 @@ def generate_trace(seed: int, *, num_cores: int = 3, ops_per_core: int = 24,
 # ---------------------------------------------------------------------
 # execution + oracles
 # ---------------------------------------------------------------------
-def run_trace(trace: FuzzTrace, *, protocol: str = "mesi", gw: bool = True,
-              jitter: int = 0, monitor_period: int = 64,
-              max_cycles: int = 2_000_000) -> Machine:
+def run_trace(trace: FuzzTrace, *, protocol: str = "ghostwriter",
+              gw: bool = True, jitter: int = 0, monitor_period: int = 64,
+              max_cycles: int = 2_000_000,
+              topology: str = "mesh") -> Machine:
     """Execute one trace under one protocol configuration and apply every
     oracle; raises :class:`FuzzFailure` on any violation.  Returns the
     finished machine for further inspection."""
     label = (
         f"seed={trace.seed} protocol={protocol} gw={gw} jitter={jitter}"
     )
-    if gw:
-        protocol = _LEGACY_GW.get(protocol, protocol)
+    num_cores = max(2, trace.num_cores)
     cfg = small_config(
-        num_cores=max(2, trace.num_cores), enabled=gw,
+        num_cores=num_cores, enabled=gw,
         d_distance=trace.d_distance, gi_timeout=256, core_quantum=1,
     )
+    if topology != "mesh":
+        label += f" topology={topology}"
+        cfg = dc_replace(cfg, noc=noc_for_topology(topology, num_cores,
+                                                   chiplets=2))
     cfg = dc_replace(
         cfg,
         protocol=protocol,
@@ -350,124 +351,13 @@ def run_trace_batch(trace: FuzzTrace, *, protocol: str = "ghostwriter",
     return {"shared": shared, "peeled": peeled, "checks": len(dtrace)}
 
 
-def _lower_fuzz_core(ops, d_distance: int):
-    """Lower one fuzz core's op tuple to a :class:`CompiledProgram`
-    (``SetAprx`` prefix, then the ops verbatim) so the hit-run fast
-    lane — which only exists on the compiled path — can engage."""
-    import numpy as np
-
-    from repro.isa.compiled import (
-        CompiledProgram, OP_COMPUTE, OP_FLUSH, OP_LOAD, OP_SCRIBBLE,
-        OP_SETAPRX, OP_STORE,
-    )
-
-    codes = {"load": OP_LOAD, "store": OP_STORE, "scribble": OP_SCRIBBLE}
-    ops_o: list[int] = [OP_SETAPRX]
-    addr_o: list[int] = [0]
-    val_o: list[int] = [0]
-    cyc_o: list[int] = [d_distance]
-    for kind, a, b in ops:
-        if kind == "compute":
-            ops_o.append(OP_COMPUTE)
-            addr_o.append(0)
-            val_o.append(0)
-            cyc_o.append(a)
-        elif kind == "flush":
-            ops_o.append(OP_FLUSH)
-            addr_o.append(0)
-            val_o.append(0)
-            cyc_o.append(0)
-        else:
-            ops_o.append(codes[kind])
-            addr_o.append(a)
-            val_o.append(b & 0xFFFFFFFF)
-            cyc_o.append(0)
-    return CompiledProgram(
-        np.asarray(ops_o, dtype=np.int8),
-        np.asarray(addr_o, dtype=np.int64),
-        np.asarray(val_o, dtype=np.int64),
-        np.asarray(cyc_o, dtype=np.int64),
-        validate_loads=False,
-    )
-
-
-def run_trace_fastlane(trace: FuzzTrace, *, protocol: str = "ghostwriter",
-                       gw: bool = True, jitter: int = 0,
-                       max_cycles: int = 2_000_000,
-                       min_run: int = 1) -> dict[str, int]:
-    """Differential oracle for the hit-run fast lane
-    (:mod:`repro.core.hitrun`).
-
-    Lowers the trace to compiled programs (the only form the lane
-    executes) and runs it twice — ``fast_lane=True`` vs ``False`` — on
-    otherwise identical machines with the runtime monitor *disabled*
-    (its commit hook forces the scalar path, which would make the
-    differential vacuous) and ``MIN_RUN`` shrunk to ``min_run`` so even
-    short fuzz-length hit runs vectorize.  Both runs must pass the
-    quiescence/coherence invariants and be **bit-identical** in the
-    checkpoint fingerprint payload plus the engine's cycle/event
-    accounting; any difference is a :class:`FuzzFailure`.
-    """
-    import repro.core.hitrun as hitrun
-
-    label = f"seed={trace.seed} protocol={protocol} gw={gw} backend=fastlane"
-    if gw:
-        protocol = _LEGACY_GW.get(protocol, protocol)
-    base = small_config(
-        num_cores=max(2, trace.num_cores), enabled=gw,
-        d_distance=trace.d_distance, gi_timeout=256, core_quantum=8,
-    )
-    base = dc_replace(
-        base,
-        protocol=protocol,
-        verify=VerifyConfig(monitor_period=0, watchdog_interval=50_000),
-        faults=FaultConfig(delay_jitter=jitter, seed=trace.seed or 1),
-    )
-
-    prints = {}
-    saved_min_run = hitrun.MIN_RUN
-    hitrun.MIN_RUN = min_run
-    try:
-        for lane in (True, False):
-            cfg = dc_replace(base, fast_lane=lane)
-            m = Machine(cfg)
-            for tid, core_ops in enumerate(trace.ops):
-                m.add_thread(tid, _lower_fuzz_core(core_ops,
-                                                   trace.d_distance))
-            try:
-                m.run(max_cycles=max_cycles)
-                m.check_quiescent()
-                m.check_coherence_invariants()
-            except FuzzFailure:
-                raise
-            except Exception as exc:
-                raise FuzzFailure(
-                    f"[{label} fast_lane={lane}] "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            payload = _machine_fingerprint(m)
-            payload["engine"] = (m.engine.now, m.engine.events_executed)
-            prints[lane] = payload
-    finally:
-        hitrun.MIN_RUN = saved_min_run
-
-    on, off = prints[True], prints[False]
-    if on != off:
-        diff = [k for k in off if on[k] != off[k]]
-        raise FuzzFailure(
-            f"[{label}] fast-lane run diverged from the scalar run "
-            f"in {', '.join(diff)}"
-        )
-    return {"ops": trace.op_count()}
-
-
 def run_matrix(seeds, *, jitter: int = 0, num_cores: int = 3,
                ops_per_core: int = 24, matrix=PROTOCOL_MATRIX,
                corpus_dir: str | Path | None = None) -> dict[str, int]:
     """Run every seed under every protocol configuration.
 
-    Matrix entries are ``(protocol, gw)`` or ``(protocol, gw,
-    backend)``; ``backend="batch"`` routes through
+    Matrix entries are ``(protocol, gw[, backend[, topology]])`` (see
+    :data:`PROTOCOL_MATRIX`); ``backend="batch"`` routes through
     :func:`run_trace_batch`.  Raises :class:`FuzzFailure` on the first
     violation — batch-sharing divergences are first ddmin-minimized and
     saved into ``corpus_dir`` (when given) for regression replay.
@@ -479,6 +369,7 @@ def run_matrix(seeds, *, jitter: int = 0, num_cores: int = 3,
                                ops_per_core=ops_per_core)
         for protocol, gw, *rest in matrix:
             backend = rest[0] if rest else "serial"
+            topology = rest[1] if len(rest) > 1 else "mesh"
             if backend == "batch":
                 try:
                     run_trace_batch(trace, protocol=protocol, gw=gw,
@@ -489,18 +380,9 @@ def run_matrix(seeds, *, jitter: int = 0, num_cores: int = 3,
                             trace, protocol=protocol, gw=gw,
                             jitter=jitter, corpus_dir=corpus_dir)
                     raise
-            elif backend == "fastlane":
-                try:
-                    run_trace_fastlane(trace, protocol=protocol, gw=gw,
-                                       jitter=jitter)
-                except FuzzFailure:
-                    if corpus_dir is not None:
-                        _minimize_fastlane_divergence(
-                            trace, protocol=protocol, gw=gw,
-                            jitter=jitter, corpus_dir=corpus_dir)
-                    raise
             else:
-                run_trace(trace, protocol=protocol, gw=gw, jitter=jitter)
+                run_trace(trace, protocol=protocol, gw=gw, jitter=jitter,
+                          topology=topology)
             runs += 1
             ops += trace.op_count()
     return {"runs": runs, "ops": ops}
@@ -525,29 +407,6 @@ def _minimize_batch_divergence(trace: FuzzTrace, *, protocol: str,
         note=(f"batch lane-sharing divergence: protocol={protocol} "
               f"gw={gw} jitter={jitter}; replay with "
               f"run_trace_batch (see repro.sim.batch)"),
-    )
-    return path
-
-
-def _minimize_fastlane_divergence(trace: FuzzTrace, *, protocol: str,
-                                  gw: bool, jitter: int,
-                                  corpus_dir: str | Path) -> Path:
-    """Shrink a fast-lane/scalar divergence and save it to the corpus."""
-    def diverges(t: FuzzTrace) -> bool:
-        try:
-            run_trace_fastlane(t, protocol=protocol, gw=gw, jitter=jitter)
-        except FuzzFailure:
-            return True
-        return False
-
-    small = minimize_trace(trace, diverges)
-    path = (Path(corpus_dir)
-            / f"fastlane_divergence_seed{trace.seed}_{protocol}.json")
-    save_corpus_trace(
-        small, path,
-        note=(f"hit-run fast-lane divergence: protocol={protocol} "
-              f"gw={gw} jitter={jitter}; replay with "
-              f"run_trace_fastlane (see repro.core.hitrun)"),
     )
     return path
 

@@ -138,9 +138,9 @@ class Workload(abc.ABC):
 
         The first half of :meth:`run`, exposed separately so the
         checkpoint layer can interpose between construction and
-        execution — the batch backend's fork path builds a machine this
-        way, restores a :class:`~repro.sim.state.MachineCheckpoint` into
-        it, and resumes instead of running from cycle 0.
+        execution — build a machine this way, restore a
+        :class:`~repro.sim.state.MachineCheckpoint` into it, and resume
+        instead of running from cycle 0.
         """
         if cfg.num_cores < self.num_threads:
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Unit tests of the protocol-policy registry and the legacy shim."""
+"""Unit tests of the protocol-policy registry and policy resolution."""
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -72,8 +72,7 @@ class TestPolicyShape:
 class TestResolvePolicy:
     def test_registry_names_resolve_silently(self):
         """Naming a variant with its approximation switch matching its
-        nature never warns (mesi/moesi + enabled=True is the one legacy
-        spelling, covered below)."""
+        nature never warns."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for name in available_protocols():
@@ -87,13 +86,11 @@ class TestResolvePolicy:
         pol = resolve_policy("update-hybrid", False)
         assert pol.update_on_upgrade and not pol.approx
 
-    def test_legacy_base_with_approx_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="legacy spelling"):
-            pol = resolve_policy("mesi", True)
-        assert pol is get_protocol("ghostwriter")
-        with pytest.warns(DeprecationWarning, match="ghostwriter-moesi"):
-            pol = resolve_policy("moesi", True)
-        assert pol is get_protocol("ghostwriter-moesi")
+    def test_enabled_never_adds_approx_states(self):
+        for base in ("mesi", "moesi"):
+            pol = resolve_policy(base, True)
+            assert pol is get_protocol(base)
+            assert not pol.allows_gs and not pol.allows_gi
 
     def test_legacy_base_without_approx_is_silent(self):
         with warnings.catch_warnings():

@@ -59,6 +59,15 @@ class TestMatrix:
                  if rest and rest[0] == "batch"}
         assert len(batch) >= 2
 
+    def test_matrix_samples_every_registered_topology(self):
+        """Ghostwriter is fuzzed on every registered topology, not only
+        the default mesh."""
+        from repro.noc.topologies import available_topologies
+
+        topologies = {rest[1] if len(rest) > 1 else "mesh"
+                      for _p, _gw, *rest in PROTOCOL_MATRIX}
+        assert topologies == set(available_topologies())
+
     def test_jitter_runs_clean(self):
         summary = run_matrix(range(5), jitter=3)
         assert summary["runs"] == 5 * len(PROTOCOL_MATRIX)
@@ -162,7 +171,7 @@ class TestCorpus:
         """Every corpus trace must still run clean under the full oracle
         set AND still reproduce the race it was shrunk to pin down."""
         trace = load_corpus_trace(path)
-        machine = run_trace(trace, protocol="mesi", gw=True)
+        machine = run_trace(trace, protocol="ghostwriter")
         assert approx_drops(machine) > 0, (
             f"{path.name} no longer exhibits the GS/GI-drop race"
         )
