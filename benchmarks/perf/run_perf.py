@@ -9,8 +9,8 @@ traced workload run, against the untraced run for the overhead ratio)
 and a protocol dimension (a pure L1 hit loop under the precise MESI
 policy vs the full Ghostwriter policy — the policy-indirection
 measurement — plus end-to-end runs of two registry variants) and the
-compiled-program layer (``core_step_loop``: the columnar interpreter's
-fetch/dispatch loop) and the sweep backends (``sweep_wall_clock`` vs
+core (``core_step_loop``: the generator interpreter's fetch/dispatch
+loop) and the sweep backends (``sweep_wall_clock`` vs
 ``sweep_wall_clock_batch``: the same dense d-distance x GI-timeout
 grid through the serial interpreter and the lockstep batch engine of
 ``repro.sim.batch`` — both produce bit-identical rows, so their ops/s
@@ -164,26 +164,19 @@ def bench_workload_false_sharing(n: int):
 
 
 def bench_core_step_loop(n: int):
-    """The compiled interpreter's fetch/dispatch loop: one core running a
-    pre-lowered all-load program cycling 16 words of a single resident
-    block (first load fills it, the rest are pure L1 hits)."""
+    """The generator interpreter's fetch/dispatch loop: one core running
+    an all-load program cycling 16 words of a single resident block
+    (first load fills it, the rest are pure L1 hits)."""
     from repro.common.config import small_config
-    from repro.isa.compiled import CompiledProgram
+    from repro.isa.instructions import Load
     from repro.sim.machine import Machine
 
-    addrs = [0x1000 + (i % 16) * 4 for i in range(n)]
-    prog = CompiledProgram(
-        np.zeros(n, dtype=np.int8),           # OP_LOAD
-        np.asarray(addrs, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-        validate_loads=False,
-    )
+    ops = [Load(0x1000 + (i % 16) * 4) for i in range(n)]
     cfg = small_config(num_cores=1)
 
     def thunk() -> None:
         m = Machine(cfg)
-        m.add_thread(0, prog)
+        m.add_thread(0, (op for op in ops))
         m.run()
     return thunk, n
 
@@ -191,7 +184,7 @@ def bench_core_step_loop(n: int):
 def _sweep_grid_points(n: int):
     """The dense d-distance x GI-timeout sweep grid both sweep benches
     run: ``n`` d values crossed with two GI timeouts on the histogram
-    workload (2n points sharing one compiled op stream)."""
+    workload (2n points)."""
     from repro.harness.parallel import GridPoint
 
     return [
@@ -224,7 +217,7 @@ def _bench_sweep_grid(backend: str):
 
 
 #: serial baseline over the dense grid — one full interpreter run per
-#: sweep point (the program cache amortizes op-stream recording only)
+#: sweep point
 bench_sweep_wall_clock = _bench_sweep_grid("serial")
 
 #: the same grid through the lockstep batch backend (repro.sim.batch):
@@ -326,13 +319,11 @@ def bench_checkpoint_roundtrip(n: int):
     (``repro.sim.state.MachineCheckpoint``) on a warmed 2-core machine —
     the unit of work the CLI pays per recorder window."""
     from repro.common.config import small_config
-    from repro.isa.compiled import ProgramCache, ProgramSpec
     from repro.isa.instructions import Compute, Load, SetAprx, Store
     from repro.sim.machine import Machine
-    from repro.sim.state import MachineCheckpoint
+    from repro.sim.state import CheckpointRecorder, MachineCheckpoint
 
     cfg = small_config(num_cores=2)
-    cache = ProgramCache()
 
     def factory_for(cid: int):
         def prog():
@@ -345,10 +336,10 @@ def bench_checkpoint_roundtrip(n: int):
 
     def build() -> Machine:
         m = Machine(cfg)
+        # attached before binding, so the cores record their sends
+        m.checkpoint_recorder = CheckpointRecorder(10_000)
         for cid in range(2):
-            m.add_thread(cid, ProgramSpec(factory_for(cid),
-                                          key=("bench_ckpt", cid),
-                                          cache=cache))
+            m.add_thread(cid, factory_for(cid))
         return m
 
     src = build()

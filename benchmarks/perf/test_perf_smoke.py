@@ -151,7 +151,7 @@ def test_validator_rejects_bad_reports(run_perf):
         run_perf.validate_report(negative_time)
 
 
-def test_compiled_benchmarks_present(run_perf, tmp_path):
+def test_core_and_sweep_benchmarks_present(run_perf, tmp_path):
     out = tmp_path / "BENCH_perf.json"
     assert run_perf.main(["--check-only", "--out", str(out)]) == 0
     names = [row["name"] for row in

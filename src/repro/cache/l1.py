@@ -185,8 +185,6 @@ class L1Controller:
         addr: int,
         value: int | None,
         on_done: Callable[[int | None], None],
-        block: int | None = None,
-        off: int | None = None,
     ) -> tuple[bool, int | None]:
         """Perform one memory reference.
 
@@ -196,16 +194,9 @@ class L1Controller:
         ``on_done(load_value)`` when the transaction retires.  In-order
         cores issue at most one outstanding access, which the MSHR layout
         relies on.
-
-        ``block``/``off`` accept the address decomposition when the
-        caller already has it — the compiled interpreter passes the
-        per-op columns of
-        :meth:`~repro.isa.compiled.CompiledProgram.address_columns`,
-        skipping the per-access shift/mask arithmetic.
         """
-        if block is None:
-            block = addr & ~self._off_mask
-            off = (addr & self._off_mask) >> self._word_shift
+        block = addr & ~self._off_mask
+        off = (addr & self._off_mask) >> self._word_shift
         bus = self.bus
         if bus is None or not bus.wants(EventKind.ACCESS):
             return self._access(atype, addr, value, on_done, block, off)

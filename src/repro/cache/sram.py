@@ -224,10 +224,6 @@ class CacheArray:
             if line.valid:
                 yield line
 
-    def set_of(self, block_addr: int) -> list[CacheLine]:
-        """The ways of the set this block maps to."""
-        return self._ways((block_addr >> self._blk_shift) & self._set_mask)
-
     def occupancy(self) -> int:
         """Number of valid lines in the array."""
         return sum(1 for _ in self.iter_valid())

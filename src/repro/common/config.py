@@ -400,12 +400,6 @@ class SimConfig:
     #: invalidations, *understating* contention on heavily false-shared
     #: blocks (measurably so on Fig. 1/Fig. 10).
     core_quantum: int = 1
-    #: Execute thread programs through the compiled-program layer
-    #: (record-once columnar op streams + the sweep-wide program cache,
-    #: see repro.isa.compiled).  Results are bit-identical either way —
-    #: the knob exists for the equivalence suite and for debugging with
-    #: the plain generator interpreter.
-    compile_programs: bool = True
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:
@@ -462,10 +456,6 @@ class SimConfig:
                 gs_fallback_getx=gw.gs_fallback_getx,
             ),
         )
-
-    def with_cores(self, num_cores: int) -> "SimConfig":
-        """Copy with a different core count (thread-sweep helper)."""
-        return replace(self, num_cores=num_cores)
 
     def home_directory(self, block_addr: int) -> int:
         """NoC node of the directory controller owning this block."""

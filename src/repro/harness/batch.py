@@ -5,7 +5,7 @@ only in the swept ``d_distance`` / ``gi_timeout`` knobs — and drives
 each group through the :mod:`repro.sim.batch` engine: one serial
 representative run per decision-equivalence class, every provably
 identical lane served from it, disagreeing lanes peeled back to the
-ordinary per-point interpreter.  The contract is exactly
+ordinary per-point generator interpreter (``Core._step``).  The contract is exactly
 :func:`repro.harness.parallel.fan_out` over ``_run_point``: one outcome
 (``RunRow`` or ``GridFailure``) per point in input order, ``on_result``
 fired as each point finalizes — so the store/resume/commit machinery of

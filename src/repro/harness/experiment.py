@@ -156,11 +156,6 @@ def row_from_result(name: str, d_label: int, result: WorkloadResult,
     baseline even though the machine ran with ``d_distance=1`` disabled);
     ``cfg`` supplies the protocol tag and the energy model parameters.
     """
-    return _row_from_result(name, d_label, result, cfg)
-
-
-def _row_from_result(name: str, d_label: int, result: WorkloadResult,
-                     cfg: SimConfig) -> RunRow:
     machine = result.machine
     l1 = result.stats.child("l1")
     noc = result.stats.child("noc")
@@ -210,7 +205,7 @@ def run_workload(name: str, *, d_distance: int,
         seed=seed, gi_timeout=gi_timeout, protocol=protocol,
         topology=topology, options=options, **workload_kwargs,
     )
-    return _row_from_result(name, d_distance, result, cfg)
+    return row_from_result(name, d_distance, result, cfg)
 
 
 def run_workload_result(

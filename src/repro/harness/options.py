@@ -73,7 +73,7 @@ class RunOptions:
     topology: str = "mesh"
     #: Sweep execution backend: ``"serial"`` runs every grid point
     #: through the per-point interpreter; ``"batch"`` lets ``run_grid``
-    #: advance groups of points that share a compiled program in
+    #: advance groups of points that differ only in the swept knobs in
     #: lockstep (:mod:`repro.sim.batch`), falling back per-point where
     #: sharing is unsound.  Results are bit-identical either way.
     backend: str = "serial"

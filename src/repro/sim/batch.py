@@ -1,7 +1,7 @@
 """Lockstep batched multi-point execution (the batch backend's engine).
 
 A sweep grid — d-distance, GI-timeout — is many *almost identical*
-simulations: every point runs the same compiled program on the same
+simulations: every point runs the same thread programs on the same
 machine, and the swept parameter reaches the simulation through exactly
 two narrow interfaces:
 
@@ -25,9 +25,7 @@ timer was never armed — would have executed a bit-identical simulation,
 so the representative's finished machine **is** that lane's result.
 Lanes that disagree anywhere *peel*: they drop out of the batch and
 recurse with a new representative, ultimately falling back to the
-ordinary per-point ``Core._step`` interpreter — the same
-validate-and-deoptimize shape the compiled-program layer uses inside a
-single run.
+ordinary per-point ``Core._step`` interpreter.
 
 Soundness of the substitution rule (why a passed prediction can never
 share a wrong result): at a recorded check with programmed distance

@@ -14,7 +14,7 @@ construction.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.cache.l1 import L1Controller
 from repro.cache.l2 import L2Slice
@@ -25,7 +25,6 @@ from repro.common.stats import StatGroup
 from repro.common.types import MessageType
 from repro.core.core import Core
 from repro.core.sync import Barrier, Lock
-from repro.isa.compiled import CompiledProgram, ProgramSpec
 from repro.faults.injector import FaultInjector
 from repro.mem.backing import BackingStore
 from repro.mem.dram import Dram
@@ -107,9 +106,9 @@ class Machine:
             for node in range(cfg.num_cores)
         ]
         self.cores: list[Core | None] = [None] * cfg.num_cores
-        # creation-order sync-object tables: compiled programs reference
-        # barriers/locks as ("kind", creation index), which these resolve
-        # (creation order is deterministic for a given workload build)
+        # creation-order sync-object tables: checkpoints capture and
+        # restore barriers/locks by creation index (creation order is
+        # deterministic for a given workload build)
         self._barriers: list[Barrier] = []
         self._locks: list[Lock] = []
         for node in range(cfg.noc.num_nodes):
@@ -201,28 +200,26 @@ class Machine:
     # ------------------------------------------------------------------
     def add_thread(
         self, core_id: int,
-        program: "Iterator | ProgramSpec | CompiledProgram",
+        program: "Iterator | Callable[[], Iterator]",
     ) -> Core:
         """Bind a thread program to a core (one program per core).
 
-        Accepts a plain op generator, a pre-lowered
-        :class:`~repro.isa.compiled.CompiledProgram`, or a
-        :class:`~repro.isa.compiled.ProgramSpec` (factory + program-cache
-        slot — the form :meth:`repro.workloads.base.Workload.bind_program`
-        produces).  With ``cfg.compile_programs`` off, a spec is unwrapped
-        to its generator so the machine runs the legacy path.
+        Accepts an op generator or a zero-argument factory returning a
+        fresh one (the form :meth:`repro.workloads.base.Workload.
+        bind_program` passes).  When a checkpoint recorder is attached,
+        a factory-built core records the values sent into its program
+        (:class:`~repro.isa.compiled.ProgramRecorder`) so checkpoints can
+        rebuild it; otherwise nothing is recorded.
         """
         if not 0 <= core_id < self.cfg.num_cores:
             raise ValueError(f"core {core_id} out of range")
         if self.cores[core_id] is not None:
             raise ValueError(f"core {core_id} already has a thread")
-        if isinstance(program, ProgramSpec) and not self.cfg.compile_programs:
-            program = program.factory()
         core = Core(
             core_id, self.engine, self.l1s[core_id], program,
             self.stats.child("core").child(f"c{core_id}"),
             quantum=self.cfg.core_quantum,
-            sync_tables=(self._barriers, self._locks),
+            record=self.checkpoint_recorder is not None,
         )
         self.cores[core_id] = core
         return core

@@ -10,25 +10,46 @@ Each core's accesses are replayed in recorded program order with
 deltas (capped, so a slow recorded run does not pad a fast replay).
 Recorded scribbles stay scribbles; ``SetAprx`` is issued up front.
 
-Traces lower *directly* to :class:`~repro.isa.compiled.CompiledProgram`
-columns (:func:`repro.isa.compiled.lower_trace`) — a recorded trace is
-already the flat op stream the compiled interpreter wants, so replay
-skips the per-access dataclass generator entirely.
-
 Replay is *timing-faithful in structure only*: the replayed machine
 re-decides hits/misses and coherence actions itself, which is exactly
 the point of replaying under a different protocol.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.common.config import SimConfig
-from repro.isa.compiled import lower_trace
+from repro.isa import instructions as isa
 from repro.sim.machine import Machine
 from repro.trace.record import Trace
 
 __all__ = ["replay_trace"]
+
+_MAX_GAP = 200  # cap reconstructed compute gaps (cycles)
+
+
+def _replay_ops(sub: Trace, d_distance: int) -> Iterator[isa.Op]:
+    """One core's trace columns as an op stream: ``SetAprx`` up front,
+    a ``Compute`` for every inter-access gap above the hit latency
+    (capped at ``_MAX_GAP``), then the access itself."""
+    yield isa.SetAprx(d_distance)
+    cycles = sub.cycles.tolist()
+    last = cycles[0] if cycles else 0
+    for cycle, code, addr, value in zip(cycles, sub.atypes.tolist(),
+                                        sub.addrs.tolist(),
+                                        sub.values.tolist()):
+        gap = cycle - last
+        last = cycle
+        if gap > 2:
+            yield isa.Compute(min(gap, _MAX_GAP))
+        if code == 0:
+            yield isa.Load(addr)
+        elif code == 1:
+            yield isa.Store(addr, value & 0xFFFFFFFF)
+        else:
+            yield isa.Scribble(addr, value & 0xFFFFFFFF)
 
 
 def replay_trace(trace: Trace, cfg: SimConfig,
@@ -56,10 +77,8 @@ def replay_trace(trace: Trace, cfg: SimConfig,
             f"{cfg.num_cores}"
         )
     for core in cores.tolist():
-        sub = trace.for_core(int(core))
-        prog = lower_trace(sub.cycles, sub.atypes, sub.addrs, sub.values,
-                           cfg.ghostwriter.d_distance)
-        machine.add_thread(int(core), prog)
+        machine.add_thread(int(core), _replay_ops(
+            trace.for_core(int(core)), cfg.ghostwriter.d_distance))
     machine.run(max_cycles=max_cycles)
     machine.check_quiescent()
     return machine

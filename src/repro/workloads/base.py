@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.analysis.errors import error_for_metric
 from repro.common.config import SimConfig
-from repro.isa.compiled import ProgramSpec
 from repro.sim.machine import Machine
 from repro.workloads.alloc import SharedMemory
 
@@ -107,28 +106,13 @@ class Workload(abc.ABC):
 
     def bind_program(self, machine: Machine, tid: int,
                      factory: Callable[[], object]) -> None:
-        """Bind thread ``tid``'s program, through the program cache when
-        the registry attached one to this instance.
+        """Bind thread ``tid``'s program by its generator factory.
 
         ``factory`` must produce a fresh generator per call (use
         ``functools.partial(self.worker, tid)``, not ``self.worker(tid)``)
-        — the compiled layer rebuilds the generator for deoptimization
-        and the end-of-run side-effect replay.  Without a cache (direct
-        instantiation, unhashable params, ``compile_programs`` off) this
-        degrades to the plain generator path.
+        — a checkpoint restore rebuilds the generator from it.
         """
-        cache = getattr(self, "_program_cache", None)
-        key_base = getattr(self, "_program_key", None)
-        if (cache is None or key_base is None
-                or not machine.cfg.compile_programs):
-            machine.add_thread(tid, factory())
-            return
-        # block size and d-distance shape the recorded op stream (block
-        # alignment, the SetAprx operand); gi-timeout/protocol knobs do
-        # not — cross-config divergence is caught by load validation
-        key = (*key_base, machine.cfg.block_bytes,
-               machine.cfg.ghostwriter.d_distance, tid)
-        machine.add_thread(tid, ProgramSpec(factory, key, cache))
+        machine.add_thread(tid, factory)
 
     # ------------------------------------------------------------------
     # one-stop runner

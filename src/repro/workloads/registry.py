@@ -24,8 +24,7 @@ __all__ = [
     "create", "table2_rows", "paper_input_desc",
 ]
 
-#: process-wide compiled-program cache shared by every sweep point
-#: (each ``--jobs`` worker process holds its own copy)
+#: inert: always empty; ``perfbench/`` binds it (ROADMAP item 2)
 PROGRAM_CACHE = ProgramCache()
 
 #: the six Table 2 applications, in the paper's order
@@ -67,18 +66,8 @@ def create(name: str, num_threads: int, d_distance: int = 4,
         raise KeyError(
             f"unknown workload {name!r}; available: {sorted(ALL_WORKLOADS)}"
         )
-    w = cls(num_threads=num_threads, d_distance=d_distance, seed=seed,
-            scale=scale, **kwargs)
-    # arm the program cache: the key base identifies the op stream up to
-    # the per-machine knobs Workload.bind_program appends at bind time
-    key = (name, num_threads, seed, scale, tuple(sorted(kwargs.items())))
-    try:
-        hash(key)
-    except TypeError:
-        return w  # unhashable extra params: run uncached
-    w._program_cache = PROGRAM_CACHE
-    w._program_key = key
-    return w
+    return cls(num_threads=num_threads, d_distance=d_distance, seed=seed,
+               scale=scale, **kwargs)
 
 
 def paper_input_desc(name: str) -> str:

@@ -1,135 +1,81 @@
-"""Unit + property tests for the compiled-program layer.
+"""Unit + property tests for program recording (repro.isa.compiled).
 
-Covers the columnar representation itself (segmenting, the program
-cache, trace lowering) and the round-trip property the whole design
-rests on: recording a generator program and re-executing the arrays on
-a fresh machine is bit-identical to running the generator — stats,
-backing memory, and the program's own Python side effects.
+Covers the value log a core keeps while checkpointing, the value-driven
+generator replays built on it, and the round-trip property checkpoints
+rest on: recording is invisible to the simulation, and a machine
+restored mid-run from a checkpoint — its generators rebuilt from the
+log — finishes bit-identically to the uninterrupted run.
 """
-from dataclasses import replace
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import small_config
+from repro.core import core as core_mod
+from repro.harness.experiment import run_workload
 from repro.isa import instructions as isa
 from repro.isa.compiled import (
-    OP_ACQUIRE, OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_SETAPRX, OP_STORE,
-    CompiledProgram, ProgramCache, ProgramRecorder, ProgramSpec,
-    lower_trace, replay_to_completion, resync_generator,
+    ProgramRecorder, replay_to_completion, resync_generator,
 )
 from repro.sim.machine import Machine
-
-
-def _prog(ops, **kw):
-    n = len(ops)
-    return CompiledProgram(
-        np.asarray(ops, dtype=np.int8),
-        np.zeros(n, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-        **kw,
-    )
-
-
-class TestCompiledProgram:
-    def test_columns_must_be_equal_length(self):
-        with pytest.raises(ValueError, match="equal length"):
-            CompiledProgram(
-                np.zeros(3, dtype=np.int8), np.zeros(2, dtype=np.int64),
-                np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
-            )
-
-    def test_segments_split_after_blocking_ops(self):
-        p = _prog([OP_LOAD, OP_BARRIER, OP_STORE, OP_ACQUIRE, OP_COMPUTE])
-        assert p.segment_starts == (0, 2, 4)
-
-    def test_trailing_blocking_op_opens_no_empty_segment(self):
-        p = _prog([OP_LOAD, OP_BARRIER])
-        assert p.segment_starts == (0,)
-
-    def test_empty_program_has_no_segments(self):
-        assert _prog([]).segment_starts == ()
-
-    def test_lists_memoized(self):
-        p = _prog([OP_LOAD, OP_STORE])
-        assert p.lists() is p.lists()
-        assert p.lists()[0] == [OP_LOAD, OP_STORE]
-
-    def test_nbytes_counts_all_columns(self):
-        p = _prog([OP_LOAD] * 10)
-        assert p.nbytes() == 10 * (1 + 8 + 8 + 8)
-
-
-class TestProgramCache:
-    def test_lru_eviction(self):
-        c = ProgramCache(max_entries=2)
-        a, b, d = _prog([OP_LOAD]), _prog([OP_STORE]), _prog([OP_COMPUTE])
-        c.put("a", a)
-        c.put("b", b)
-        assert c.get("a") is a  # refresh: "b" is now LRU
-        c.put("d", d)
-        assert "b" not in c and "a" in c and "d" in c
-
-    def test_hit_miss_counters_and_clear(self):
-        c = ProgramCache()
-        assert c.get("x") is None
-        c.put("x", _prog([OP_LOAD]))
-        assert c.get("x") is not None
-        assert (c.hits, c.misses, len(c)) == (1, 1, 1)
-        c.clear()
-        assert (c.hits, c.misses, len(c)) == (0, 0, 0)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            ProgramCache(max_entries=0)
+from repro.sim.state import CheckpointRecorder, machine_fingerprint
+from repro.workloads.registry import PROGRAM_CACHE
 
 
 class TestRecorder:
     def test_load_value_patched_in(self):
-        r = ProgramRecorder()
-        r.record_load(0x40)
-        r.patch_load(99)
-        r.record(OP_STORE, 0x44, 7)
-        p = r.finalize()
-        assert p.value.tolist() == [99, 7]
-        assert p.op.tolist() == [OP_LOAD, OP_STORE]
+        """A core logs each value it sends; a load's value is the send
+        that fetches the op after it."""
+        m = Machine(small_config(num_cores=1))
+        m.checkpoint_recorder = CheckpointRecorder(1000)
 
-    def test_unknown_sync_object_marks_uncacheable(self):
-        r = ProgramRecorder(sync_tables=([], []))
-        r.record_sync(OP_BARRIER, object())
-        assert not r.cacheable
-
-    def test_known_sync_object_resolves_to_creation_index(self):
-        barrier = object()
-        r = ProgramRecorder(sync_tables=([object(), barrier], []))
-        r.record_sync(OP_BARRIER, barrier)
-        assert r.cacheable
-        assert r.objs[0] == ("barrier", 1)
+        def prog():
+            v = yield isa.Load(0x40)
+            yield isa.Store(0x44, v + 7)
+        m.backing.write_block(0x40, [99] + [0] * 15)
+        core = m.add_thread(0, prog)
+        m.run()
+        # fetch Load, fetch Store (sending the load's 99), end of program
+        assert core._recorder.sends == [None, 99, None]
 
 
-class TestLowerTrace:
-    def test_setaprx_first_and_gaps_become_compute(self):
-        p = lower_trace([100, 103, 500], [OP_LOAD, OP_STORE, OP_STORE],
-                        [0x40, 0x44, 0x48], [0, 5, 6], d_distance=8)
-        assert p.op.tolist() == [
-            OP_SETAPRX, OP_LOAD, OP_COMPUTE, OP_STORE, OP_COMPUTE, OP_STORE,
-        ]
-        assert p.cycles[0] == 8          # the SetAprx operand
-        assert p.cycles[2] == 3          # the 100 -> 103 gap
-        assert p.cycles[4] == 200        # 103 -> 500, capped at _MAX_GAP
-        assert not p.validate_loads      # replay re-decides load values
+def _counting_recorders(monkeypatch) -> list:
+    made = []
 
-    def test_load_values_dropped_store_values_kept(self):
-        p = lower_trace([0, 1], [OP_LOAD, OP_STORE], [0x40, 0x44],
-                        [123, 0x1_0000_0007], d_distance=4)
-        assert p.value.tolist() == [0, 0, 7]  # load dropped, store &32-bit
+    class Counting(ProgramRecorder):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(core_mod, "ProgramRecorder", Counting)
+    return made
+
+
+def test_default_run_records_nothing(monkeypatch):
+    """Without a checkpoint recorder a registry workload constructs no
+    program recorder, and no run warms a program cache for the next."""
+    made = _counting_recorders(monkeypatch)
+    hits = PROGRAM_CACHE.hits
+    for _ in range(2):
+        run_workload("bad_dot_product", d_distance=4, num_threads=2,
+                     n_points=64, max_value=7)
+    assert made == []
+    assert PROGRAM_CACHE.hits == hits
+
+
+def test_checkpointing_run_records_every_thread(monkeypatch):
+    made = _counting_recorders(monkeypatch)
+    m = Machine(small_config(num_cores=2))
+    m.checkpoint_recorder = CheckpointRecorder(64)
+    for cid in range(2):
+        m.add_thread(cid, lambda: (op for op in [isa.Compute(3)]))
+    assert len(made) == 2
 
 
 class TestValueDrivenReplay:
     """resync_generator / replay_to_completion: pure-Python replays fed
-    with the recorded value column."""
+    with the recorded send log."""
 
     @staticmethod
     def _factory(out):
@@ -141,40 +87,28 @@ class TestValueDrivenReplay:
             out.append(("b", b))
         return gen
 
-    @staticmethod
-    def _recording():
-        return CompiledProgram(
-            np.asarray([OP_LOAD, OP_STORE, OP_LOAD], dtype=np.int8),
-            np.asarray([0x40, 0x44, 0x44], dtype=np.int64),
-            np.asarray([10, 11, 11], dtype=np.int64),
-            np.zeros(3, dtype=np.int64),
-        )
+    # fetch Load, Store (after a=10), Load, then end (after b=11)
+    _SENDS = [None, 10, None, 11]
 
     def test_replay_runs_side_effects_once(self):
         out = []
-        replay_to_completion(self._factory(out), self._recording())
+        replay_to_completion(self._factory(out), self._SENDS)
         assert out == [("a", 10), ("b", 11)]
 
     def test_resync_stops_mid_stream_awaiting_send(self):
         out = []
-        gen = resync_generator(self._factory(out), self._recording(), 3)
+        gen = resync_generator(self._factory(out), self._SENDS[:3])
         assert out == [("a", 10)]       # prefix side effects ran
         with pytest.raises(StopIteration):
-            gen.send(42)                 # deliver the divergent value
+            gen.send(42)                 # deliver the load's value
         assert out[-1] == ("b", 42)
 
     def test_overlong_program_raises(self):
         def gen():
             yield isa.Load(0x40)
             yield isa.Load(0x44)
-        prog = CompiledProgram(
-            np.asarray([OP_LOAD], dtype=np.int8),
-            np.asarray([0x40], dtype=np.int64),
-            np.asarray([0], dtype=np.int64),
-            np.zeros(1, dtype=np.int64),
-        )
         with pytest.raises(RuntimeError, match="beyond its 1-op recording"):
-            replay_to_completion(lambda: gen(), prog)
+            replay_to_completion(lambda: gen(), [None, 0])
 
 
 # ---------------------------------------------------------------------
@@ -197,43 +131,50 @@ _OPS = st.one_of(
 )
 
 
-def _run_streams(streams, compiled, cache):
-    """Run one fixed op stream per core; returns (stats, memory)."""
+def _machine(build, period):
+    """A machine with ``build(machine)`` bound, checkpointing every
+    ``period`` cycles (``None``: no checkpoint recorder)."""
     machine = Machine(_CFG)
-    for cid, stream in enumerate(streams):
-        def factory(stream=stream):
-            def gen():
-                for op in stream:
-                    yield op
-            return gen()
-        if compiled:
-            machine.add_thread(cid, ProgramSpec(factory, ("t", cid), cache))
-        else:
-            machine.add_thread(cid, factory())
-    machine.run()
-    return (machine.stats.flatten(),
-            {k: tuple(v) for k, v in machine.backing._blocks.items()})
+    if period is not None:
+        machine.checkpoint_recorder = CheckpointRecorder(period)
+    build(machine)
+    return machine
+
+
+def _state(machine):
+    return (machine.stats.flatten(), machine_fingerprint(machine))
+
+
+def _assert_round_trip(build, period):
+    """Recording is invisible, and every kept checkpoint resumes to the
+    uninterrupted run's final state."""
+    plain = _machine(build, None)
+    plain.run()
+    recorded = _machine(build, period)
+    end = recorded.run()
+    assert _state(recorded) == _state(plain)
+    for ckpt in recorded.checkpoint_recorder.checkpoints:
+        fresh = _machine(build, period)
+        ckpt.restore_into(fresh, verify=True)
+        assert fresh.resume() == end
+        assert _state(fresh) == _state(plain)
 
 
 @settings(max_examples=30, deadline=None)
 @given(streams=st.lists(st.lists(_OPS, max_size=40), min_size=2, max_size=2))
 def test_random_streams_round_trip(streams):
-    """Lowering + array re-execution of arbitrary op streams is
-    bit-identical to the generator interpreter, for both the recording
-    (cold) and the compiled (warm) run."""
-    baseline = _run_streams(streams, compiled=False, cache=None)
-    cache = ProgramCache()
-    cold = _run_streams(streams, compiled=True, cache=cache)
-    assert len(cache) == 2, "recordings were not cached"
-    warm = _run_streams(streams, compiled=True, cache=cache)
-    assert cold == baseline
-    assert warm == baseline
+    """Arbitrary op streams recorded while checkpointing match the
+    plain interpreter, and resume from any checkpoint bit-identically."""
+    def build(machine):
+        for cid, stream in enumerate(streams):
+            machine.add_thread(cid, lambda s=stream: (op for op in s))
+    _assert_round_trip(build, period=16)
 
 
 def test_round_trip_with_barriers_and_locks():
-    """Sync ops segment the program; handles rebind by creation index on
-    a fresh machine."""
-    def build(machine, compiled, cache):
+    """Sync objects restore by creation index and blocked cores wake on
+    the restored machine exactly as on the recorded one."""
+    def build(machine):
         barrier = machine.barrier(2)
         lock = machine.lock()
 
@@ -244,79 +185,15 @@ def test_round_trip_with_barriers_and_locks():
                 v = yield isa.Load(0x40 + (1 - cid) * 4)
                 yield isa.Acquire(lock)
                 acc = yield isa.Load(0x100)
+                yield isa.Compute(40)
                 yield isa.Store(0x100, acc + v)
                 yield isa.Release(lock)
             return gen
         for cid in range(2):
-            if compiled:
-                machine.add_thread(
-                    cid, ProgramSpec(make(cid), ("sync", cid), cache))
-            else:
-                machine.add_thread(cid, make(cid)())
-        machine.run()
-        return (machine.stats.flatten(),
-                {k: tuple(v) for k, v in machine.backing._blocks.items()})
+            machine.add_thread(cid, make(cid))
 
-    baseline = build(Machine(_CFG), False, None)
-    assert baseline[0]["core.c0.barrier_waits"] == 1
-    cache = ProgramCache()
-    cold = build(Machine(_CFG), True, cache)
-    warm = build(Machine(_CFG), True, cache)
-    assert cold == baseline
-    assert warm == baseline
-
-
-def test_deoptimization_on_divergent_load():
-    """A warm run whose validated load sees a different value falls back
-    to a resynchronized generator and still completes correctly."""
-    side = []
-
-    def factory():
-        def gen():
-            v = yield isa.Load(0x40)
-            side.append(v)
-            yield isa.Store(0x44, v + 1)
-        return gen()
-
-    cache = ProgramCache()
-    m1 = Machine(_CFG)
-    m1.add_thread(0, ProgramSpec(factory, ("d",), cache))
-    m1.run()
-    assert side == [0]
-
-    # poison the recording so the warm run's load mismatches
-    prog = cache.get(("d",))
-    doctored = CompiledProgram(prog.op, prog.addr,
-                               np.asarray([555, prog.value[1]],
-                                          dtype=np.int64),
-                               prog.cycles)
-    cache.put(("d",), doctored)
-
-    side.clear()
-    m2 = Machine(_CFG)
-    m2.add_thread(0, ProgramSpec(factory, ("d",), cache))
-    m2.run()
-    # the deoptimized run delivered the load's *actual* value (0, not
-    # the doctored 555) to the resynchronized generator...
-    assert side == [0]
-    # ...and is bit-identical to a pure generator run
-    m3 = Machine(_CFG)
-    m3.add_thread(0, factory())
-    m3.run()
-    assert m2.stats.flatten() == m3.stats.flatten()
-
-
-def test_compile_programs_off_unwraps_to_generator():
-    cfg = replace(_CFG, compile_programs=False)
-    cache = ProgramCache()
-    machine = Machine(cfg)
-
-    def factory():
-        def gen():
-            yield isa.Store(0x40, 1)
-        return gen()
-
-    machine.add_thread(0, ProgramSpec(factory, ("off",), cache))
-    machine.run()
-    assert len(cache) == 0  # never recorded: the spec was unwrapped
-    assert machine.cores[0].done
+    probe = _machine(build, 8)
+    probe.run()
+    assert probe.stats.flatten()["core.c0.barrier_waits"] == 1
+    assert len(probe.checkpoint_recorder.checkpoints) >= 2
+    _assert_round_trip(build, period=8)

@@ -10,35 +10,18 @@ points (which the batch backend routes through the serial interpreter).
 By transitivity with tests/harness/test_parallel.py's serial-vs-jobs
 guards, the same holds against ``--jobs N``; one direct jobs=2 vs batch
 comparison pins the triangle shut.
-
-This mirrors tests/workloads/test_compiled_equivalence.py one layer up:
-that suite proves the columnar interpreter preserves single-run
-behavior; this one proves the lane-sharing engine preserves whole-sweep
-behavior.
 """
 import pytest
 
 from repro.harness.batch import BatchReport, batch_fan_out, group_key
 from repro.harness.options import RunOptions
 from repro.harness.parallel import GridPoint, run_grid
-from repro.workloads.registry import (
-    ALL_WORKLOADS, MICROBENCHMARKS, PROGRAM_CACHE,
-)
+from repro.workloads.registry import ALL_WORKLOADS, MICROBENCHMARKS
 
 THREADS = 4
 SCALE = 0.05
 SEEDS = (7, 8, 9)
 BATCH = RunOptions(backend="batch")
-
-pytestmark = pytest.mark.usefixtures("clean_cache")
-
-
-@pytest.fixture
-def clean_cache():
-    PROGRAM_CACHE.clear()
-    yield
-    PROGRAM_CACHE.clear()
-
 
 def _points(name, *, ds=(0, 2, 8), seeds=SEEDS, gis=(1024,),
             protocol=None, options=None):

@@ -14,7 +14,6 @@ from repro.common.config import small_config
 from repro.harness.experiment import experiment_config, row_from_result
 from repro.workloads.base import WorkloadResult
 from repro.workloads.registry import create as registry_create
-from repro.isa.compiled import ProgramCache, ProgramSpec
 from repro.isa.instructions import (
     BarrierWait, Compute, Load, Scribble, SetAprx, Store,
 )
@@ -52,13 +51,10 @@ def _scripted_machine(num_cores: int = 2, *, period: int | None = 64,
     if period is not None:
         m.checkpoint_recorder = CheckpointRecorder(period,
                                                    max_keep=max_keep)
-    # a per-machine program cache keeps the cores in recorder/compiled
-    # mode — the snapshotable program forms (a bare generator is not)
-    cache = ProgramCache()
+    # bound by factory: with the recorder attached the cores log their
+    # sends, the snapshotable program form (a bare generator is not)
     for cid in range(num_cores):
-        m.add_thread(cid, ProgramSpec(_factory(cid, rounds, salt),
-                                      key=(cid, rounds, salt),
-                                      cache=cache))
+        m.add_thread(cid, _factory(cid, rounds, salt))
     return m
 
 
@@ -206,10 +202,8 @@ class TestErrorCheckpoints:
             yield Compute(1)
             yield BarrierWait(bar)
 
-        cache = ProgramCache()
-        m.add_thread(0, ProgramSpec(stuck, key="stuck", cache=cache))
-        m.add_thread(1, ProgramSpec(_factory(1, rounds=12),
-                                    key="worker", cache=cache))
+        m.add_thread(0, stuck)
+        m.add_thread(1, _factory(1, rounds=12))
         with pytest.raises(SimulationError) as info:
             m.run()
         ckpt = info.value.checkpoint
