@@ -25,6 +25,14 @@ forwarding, write-update UPGRADEs — is decided by the injected
 only the mechanism.  The policy's decision bits are pre-resolved into
 plain booleans at construction so the per-access hot path never touches
 the policy object.
+
+Hot path: an L1 hit is one frame, :meth:`L1Controller.access`, plus one
+:meth:`~repro.cache.sram.CacheArray.lookup` that also applies the PLRU
+touch.  State tests read the :class:`~repro.common.types.CoherenceState`
+flags, which are plain member attributes (no enum hashing), and the
+counters are items of the stats group's live dict.  The obs ``ACCESS``
+event lives in a wrapper that :meth:`L1Controller.attach_bus` installs,
+so an L1 without a bus does no emission check at all.
 """
 from __future__ import annotations
 
@@ -45,6 +53,8 @@ from repro.sim.engine import CheckpointUnsupported, Engine
 __all__ = ["L1Controller"]
 
 _S = CoherenceState
+_LOAD = AccessType.LOAD
+_SCRIBBLE = AccessType.SCRIBBLE
 _RETRY_DELAY = 4  # cycles between structural-stall retries
 
 
@@ -107,10 +117,14 @@ class L1Controller:
         self._home_memo: dict[int, int] = {}
         self._word_shift = 2  # 4-byte words
         self._off_mask = cfg.block_bytes - 1  # block size is power-of-two
+        self._block_mask = ~self._off_mask
         # hot-path bindings: the access path runs once per simulated
         # memory reference, so its counters are bumped through the live
         # counter dict (one item access each) rather than StatGroup's
-        # attribute protocol, and the scribe entry points are pre-bound
+        # attribute protocol, and the scribe entry points are pre-bound.
+        # The miss-path counters go through the same dict but are not
+        # seeded: ``c.get(name, 0)`` creates each on its first bump, so
+        # the flattened stats tree lists only counters that moved
         self._c = stats.counters(
             "loads", "load_hits", "load_misses", "load_miss_on_I",
             "approx_load_hits", "stores", "store_hits", "store_misses",
@@ -137,7 +151,7 @@ class L1Controller:
     # helpers
     # ------------------------------------------------------------------
     def _block_base(self, addr: int) -> int:
-        return addr & ~self._off_mask
+        return addr & self._block_mask
 
     def _word_off(self, addr: int) -> int:
         return (addr & self._off_mask) >> self._word_shift
@@ -194,45 +208,33 @@ class L1Controller:
         ``on_done(load_value)`` when the transaction retires.  In-order
         cores issue at most one outstanding access, which the MSHR layout
         relies on.
-        """
-        block = addr & ~self._off_mask
-        off = (addr & self._off_mask) >> self._word_shift
-        bus = self.bus
-        if bus is None or not bus.wants(EventKind.ACCESS):
-            return self._access(atype, addr, value, on_done, block, off)
-        hit, val = self._access(atype, addr, value, on_done, block, off)
-        bus.emit(Event(
-            self.engine.now, EventKind.ACCESS, self.node, addr,
-            atype.value, "hit" if hit else "miss", value or 0,
-        ))
-        return hit, val
 
-    def _access(
-        self,
-        atype: AccessType,
-        addr: int,
-        value: int | None,
-        on_done: Callable[[int | None], None],
-        block: int,
-        off: int,
-    ) -> tuple[bool, int | None]:
+        A hit is this one frame plus one :meth:`CacheArray.lookup`.  The
+        obs ``ACCESS`` event is not emitted here: :meth:`attach_bus`
+        shadows this method with :meth:`_access_with_event` on an
+        instance that has a bus, so a run without one pays no check.
+        """
+        block = addr & self._block_mask
+        off = (addr & self._off_mask) >> self._word_shift
         line = self.array.lookup(block)
         st = self._c
 
-        if atype is AccessType.LOAD:
+        if atype is _LOAD:
             st["loads"] += 1
-            if line is not None and line.state.readable:
-                st["load_hits"] += 1
-                if line.state.approximate:
-                    st["approx_load_hits"] += 1
-                return True, line.words[off]
-            if line is not None and line.state.transient:
-                raise ProtocolError(
-                    f"core {self.node} accessed block {block:#x} with an "
-                    "outstanding transaction (cores are single-outstanding)"
-                )
-            if line is not None:  # tag present, state I
-                st["load_miss_on_I"] += 1
+            if line is not None:
+                state = line.state
+                if state.readable:
+                    st["load_hits"] += 1
+                    if state.approximate:
+                        st["approx_load_hits"] += 1
+                    return True, line.words[off]
+                if state.transient:
+                    raise ProtocolError(
+                        f"core {self.node} accessed block {block:#x} with "
+                        "an outstanding transaction (cores are "
+                        "single-outstanding)"
+                    )
+                st["load_miss_on_I"] += 1  # tag present, state I
             st["load_misses"] += 1
             self._start_miss(atype, addr, value, on_done)
             return False, None
@@ -241,124 +243,145 @@ class L1Controller:
         st["stores"] += 1
         if value is None:
             raise ValueError("store requires a value")
-        if line is not None and line.words is not None:
+        if line is None:  # tag miss entirely
+            st["store_misses"] += 1
+            self._start_miss(atype, addr, value, on_done)
+            return False, None
+        words = line.words
+        if words is not None:
             # Fig. 2 instrumentation: write value vs resident word,
             # irrespective of coherence state.
-            self._scribe_observe(value, line.words[off])
-
-        if line is not None and line.state.transient:
+            self._scribe_observe(value, words[off])
+        state = line.state
+        if state.transient:
             raise ProtocolError(
                 f"core {self.node} stored to block {block:#x} with an "
                 "outstanding transaction"
             )
 
-        if line is not None:
-            state = line.state
-            if state is _S.E:
-                line.words[off] = value
-                self._set_state(line, _S.M, "store hit on E")
-                self._commit(line)
-                st["store_hits"] += 1
-                return True, None
-            if state is _S.M:
-                line.words[off] = value
-                self._commit(line)
-                st["store_hits"] += 1
-                return True, None
-            if state is _S.GS or state is _S.GI:
-                # Scribbles re-check similarity in every state (§3.1: the
-                # check applies "regardless of the coherence state",
-                # otherwise "falling back to the conventional coherence
-                # mechanisms").  A similar scribble — and any conventional
-                # store (Fig. 3 self-loops) — hits locally.  A DISSIMILAR
-                # scribble falls back: from GS it issues a real UPGRADE
-                # (which publishes the locally accumulated block when
-                # granted), from GI a real GETX.  This fallback is what
-                # keeps application error bounded (Fig. 11) while the
-                # adversarial microbenchmark (Fig. 12) still diverges.
-                budget = self.gw.approx_write_budget
-                over_budget = (
-                    budget is not None
-                    and atype is AccessType.SCRIBBLE
-                    and (line.aux or 0) >= budget
+        if state is _S.M:
+            words[off] = value
+            self._commit(line)
+            st["store_hits"] += 1
+            return True, None
+        if state is _S.E:
+            words[off] = value
+            self._set_state(line, _S.M, "store hit on E")
+            self._commit(line)
+            st["store_hits"] += 1
+            return True, None
+        if state is _S.GS or state is _S.GI:
+            # Scribbles re-check similarity in every state (§3.1: the
+            # check applies "regardless of the coherence state",
+            # otherwise "falling back to the conventional coherence
+            # mechanisms").  A similar scribble — and any conventional
+            # store (Fig. 3 self-loops) — hits locally.  A DISSIMILAR
+            # scribble falls back: from GS it issues a real UPGRADE
+            # (which publishes the locally accumulated block when
+            # granted), from GI a real GETX.  This fallback is what
+            # keeps application error bounded (Fig. 11) while the
+            # adversarial microbenchmark (Fig. 12) still diverges.
+            budget = self.gw.approx_write_budget
+            over_budget = (
+                budget is not None
+                and atype is _SCRIBBLE
+                and (line.aux or 0) >= budget
+            )
+            if over_budget:
+                st["budget_fallbacks"] += 1
+            if over_budget or (
+                atype is _SCRIBBLE and not self._scribe_check(
+                    value, words[off], block, state
                 )
-                if over_budget:
-                    st["budget_fallbacks"] += 1
-                if over_budget or (
-                    atype is AccessType.SCRIBBLE and not self._scribe_check(
-                        value, line.words[off], block, state
-                    )
-                ):
-                    if state is _S.GS:
-                        st["store_miss_on_S"] += 1
-                    else:
-                        st["store_miss_on_I"] += 1
-                    st["store_misses"] += 1
-                    self._start_miss(atype, addr, value, on_done)
-                    return False, None
-                # hit: these stores would have been coherence misses in
-                # the baseline (the block would be ping-ponging through
-                # S/I), so they count toward the Fig. 7 numerators.
-                line.words[off] = value
-                line.aux = (line.aux or 0) + 1  # per-episode write budget
-                st["store_hits"] += 1
-                st["approx_store_hits"] += 1
+            ):
                 if state is _S.GS:
-                    st["gs_store_hits"] += 1
+                    st["store_miss_on_S"] += 1
                 else:
-                    st["gi_store_hits"] += 1
+                    st["store_miss_on_I"] += 1
+                st["store_misses"] += 1
+                self._start_miss(atype, addr, value, on_done)
+                return False, None
+            # hit: these stores would have been coherence misses in the
+            # baseline (the block would be ping-ponging through S/I), so
+            # they count toward the Fig. 7 numerators.
+            words[off] = value
+            line.aux = (line.aux or 0) + 1  # per-episode write budget
+            st["store_hits"] += 1
+            st["approx_store_hits"] += 1
+            if state is _S.GS:
+                st["gs_store_hits"] += 1
+            else:
+                st["gi_store_hits"] += 1
+            return True, None
+        if state is _S.O:
+            # MOESI Owned: dirty + shared, read-only.  Scribbles never
+            # enter GS from O — the O copy is the globally coherent
+            # master, and hiding updates in it (or dropping it on an
+            # invalidation) would discard *committed* data, not an
+            # approximation.  Stores take the conventional UPGRADE.
+            st["store_miss_on_S"] += 1
+            st["store_misses"] += 1
+            self._start_miss(atype, addr, value, on_done)
+            return False, None
+        if state is _S.S:
+            if (
+                atype is _SCRIBBLE
+                and self._allow_gs
+                and self._scribe_check(value, words[off], block, state)
+            ):
+                words[off] = value
+                line.aux = 1  # first write of this approximate episode
+                self._set_state(line, _S.GS, "scribble serviced by GS")
+                st["store_hits"] += 1
+                st["gs_serviced"] += 1
                 return True, None
-            if state is _S.O:
-                # MOESI Owned: dirty + shared, read-only.  Scribbles never
-                # enter GS from O — the O copy is the globally coherent
-                # master, and hiding updates in it (or dropping it on an
-                # invalidation) would discard *committed* data, not an
-                # approximation.  Stores take the conventional UPGRADE.
-                st["store_miss_on_S"] += 1
-                st["store_misses"] += 1
-                self._start_miss(atype, addr, value, on_done)
-                return False, None
-            if state is _S.S:
-                if (
-                    atype is AccessType.SCRIBBLE
-                    and self._allow_gs
-                    and self._scribe_check(value, line.words[off], block,
-                                           state)
-                ):
-                    line.words[off] = value
-                    line.aux = 1  # first write of this approximate episode
-                    self._set_state(line, _S.GS, "scribble serviced by GS")
-                    st["store_hits"] += 1
-                    st["gs_serviced"] += 1
-                    return True, None
-                st["store_miss_on_S"] += 1
-                st["store_misses"] += 1
-                self._start_miss(atype, addr, value, on_done)
-                return False, None
-            if state is _S.I:
-                if (
-                    atype is AccessType.SCRIBBLE
-                    and self._allow_gi
-                    and self._scribe_check(value, line.words[off], block,
-                                           state)
-                ):
-                    line.words[off] = value
-                    line.aux = 1  # first write of this approximate episode
-                    self._set_state(line, _S.GI, "scribble serviced by GI")
-                    self._enter_gi(block)
-                    st["store_hits"] += 1
-                    st["gi_serviced"] += 1
-                    return True, None
-                st["store_miss_on_I"] += 1
-                st["store_misses"] += 1
-                self._start_miss(atype, addr, value, on_done)
-                return False, None
-            raise ProtocolError(f"unhandled L1 state {state}")
+            st["store_miss_on_S"] += 1
+            st["store_misses"] += 1
+            self._start_miss(atype, addr, value, on_done)
+            return False, None
+        if state is _S.I:
+            if (
+                atype is _SCRIBBLE
+                and self._allow_gi
+                and self._scribe_check(value, words[off], block, state)
+            ):
+                words[off] = value
+                line.aux = 1  # first write of this approximate episode
+                self._set_state(line, _S.GI, "scribble serviced by GI")
+                self._enter_gi(block)
+                st["store_hits"] += 1
+                st["gi_serviced"] += 1
+                return True, None
+            st["store_miss_on_I"] += 1
+            st["store_misses"] += 1
+            self._start_miss(atype, addr, value, on_done)
+            return False, None
+        raise ProtocolError(f"unhandled L1 state {state}")
 
-        # tag miss entirely
-        st["store_misses"] += 1
-        self._start_miss(atype, addr, value, on_done)
-        return False, None
+    def _access_with_event(
+        self,
+        atype: AccessType,
+        addr: int,
+        value: int | None,
+        on_done: Callable[[int | None], None],
+    ) -> tuple[bool, int | None]:
+        """:meth:`access`, then the obs ``ACCESS`` event when the bus
+        wants it (installed as ``access`` by :meth:`attach_bus`)."""
+        hit, val = L1Controller.access(self, atype, addr, value, on_done)
+        bus = self.bus
+        if bus.wants(EventKind.ACCESS):
+            bus.emit(Event(
+                self.engine.now, EventKind.ACCESS, self.node, addr,
+                atype.value, "hit" if hit else "miss", value or 0,
+            ))
+        return hit, val
+
+    def attach_bus(self, bus) -> None:
+        """Wire the obs event bus into this controller and its scribe
+        unit, and switch ``access`` to the event-emitting variant."""
+        self.bus = bus
+        self.scribe.bus = bus
+        self.access = self._access_with_event
 
     # ------------------------------------------------------------------
     # miss path
@@ -370,6 +393,7 @@ class L1Controller:
         value: int | None,
         on_done: Callable[[int | None], None],
     ) -> None:
+        c = self._c
         block = self._block_base(addr)
         # A request for a block with an un-acked PUT in flight would let
         # the request overtake the writeback; hardware stalls, so do we.
@@ -413,8 +437,7 @@ class L1Controller:
             line.words = [0] * self.cfg.l1.words_per_block
             self._set_state(line, _S.I, "allocate")
 
-        off = self._word_off(addr)
-        if atype is AccessType.LOAD:
+        if atype is _LOAD:
             kind = MshrKind.LOAD
             self._set_state(line, _S.IS_D, "load miss -> GETS")
             mtype = MessageType.GETS
@@ -438,7 +461,7 @@ class L1Controller:
             #   block in place (cheaper, no data transfer, but stale
             #   words of other threads become globally visible).
             if self._gs_fallback_getx:
-                self.stats.approx_data_dropped += 1
+                c["approx_data_dropped"] = c.get("approx_data_dropped", 0) + 1
                 kind = MshrKind.STORE
                 self._set_state(line, _S.IM_D,
                                 "store fallback from GS -> GETX")
@@ -458,7 +481,7 @@ class L1Controller:
         line.pinned = True
         entry = MshrEntry(
             block, kind, addr, value,
-            is_scribble=(atype is AccessType.SCRIBBLE),
+            is_scribble=(atype is _SCRIBBLE),
             on_complete=on_done, issued_at=self.engine.now,
         )
         self.mshrs.allocate(entry)
@@ -470,19 +493,18 @@ class L1Controller:
                        addr=addr, value=value)
         else:
             self._send(mtype, block, self._home(block), requestor=self.node)
-        _ = off  # word offset re-derived at fill time
 
     def _evict(self, line: CacheLine) -> None:
         """Make room: run the eviction protocol for the victim line."""
         block = line.tag
         state = line.state
-        st = self.stats
-        st.evictions += 1
+        st = self._c
+        st["evictions"] = st.get("evictions", 0) + 1
         if state is _S.M or state is _S.O:
             self._wb_buffer.setdefault(block, deque()).append(
                 _WbEntry(line.words, dirty=True)
             )
-            st.writebacks += 1
+            st["writebacks"] = st.get("writebacks", 0) + 1
             self._send(MessageType.PUTM, block, self._home(block),
                        words=line.words.copy())
         elif state is _S.E:
@@ -495,11 +517,11 @@ class L1Controller:
         elif state is _S.GS:
             # directory still lists us as an S sharer; approximate updates
             # are forfeited (paper 3.5)
-            st.approx_data_dropped += 1
+            st["approx_data_dropped"] = st.get("approx_data_dropped", 0) + 1
             self._send(MessageType.PUTS, block, self._home(block))
         elif state is _S.GI:
             # invisible to the directory: silent drop
-            st.approx_data_dropped += 1
+            st["approx_data_dropped"] = st.get("approx_data_dropped", 0) + 1
             self._gi_blocks.discard(block)
         elif state is _S.I:
             pass
@@ -570,6 +592,7 @@ class L1Controller:
 
     # -- fills -----------------------------------------------------------
     def _on_fill(self, msg: Message) -> None:
+        c = self._c
         block = msg.block_addr
         entry = self.mshrs.get(block)
         if entry is None:
@@ -601,12 +624,14 @@ class L1Controller:
             result = None
         line.pinned = False
         self.mshrs.retire(block)
-        self.stats.miss_latency_cycles += self.engine.now - entry.issued_at
+        c["miss_latency_cycles"] = (c.get("miss_latency_cycles", 0)
+                                    + self.engine.now - entry.issued_at)
         self._run_deferred(line, entry)
         cb = entry.on_complete
         self.engine.schedule(0, lambda: cb(result))
 
     def _on_ack(self, msg: Message) -> None:
+        c = self._c
         block = msg.block_addr
         entry = self.mshrs.get(block)
         if entry is not None:
@@ -629,7 +654,8 @@ class L1Controller:
             self._commit(line)
             line.pinned = False
             self.mshrs.retire(block)
-            self.stats.miss_latency_cycles += self.engine.now - entry.issued_at
+            c["miss_latency_cycles"] = (c.get("miss_latency_cycles", 0)
+                                        + self.engine.now - entry.issued_at)
             self._run_deferred(line, entry)
             cb = entry.on_complete
             self.engine.schedule(0, lambda: cb(None))
@@ -646,18 +672,18 @@ class L1Controller:
     def _on_inv(self, msg: Message) -> None:
         block = msg.block_addr
         line = self.array.lookup(block, touch=False)
-        st = self.stats
+        st = self._c
         if line is None or line.state is _S.I:
             # our PUTS/eviction raced the invalidation: ack unconditionally
-            st.stray_invs += 1
+            st["stray_invs"] = st.get("stray_invs", 0) + 1
         elif line.state is _S.S:
             self._set_state(line, _S.I, "invalidated")
-            st.invalidations += 1
+            st["invalidations"] = st.get("invalidations", 0) + 1
         elif line.state is _S.O:
             # MOESI: a sharer won an upgrade race; its copy is identical
             # to ours, so dropping the dirty O data is safe
             self._set_state(line, _S.I, "O invalidated by sharer upgrade")
-            st.invalidations += 1
+            st["invalidations"] = st.get("invalidations", 0) + 1
         elif line.state is _S.GS:
             if self._gs_self_invalidate:
                 # self-invalidation variant: keep the (now stale) copy
@@ -668,21 +694,21 @@ class L1Controller:
                 # like any other GI block.
                 self._set_state(line, _S.GI, "GS self-invalidates to GI")
                 self._enter_gi(block)
-                st.invalidations += 1
-                st.self_invalidations += 1
+                st["invalidations"] = st.get("invalidations", 0) + 1
+                st["self_invalidations"] = st.get("self_invalidations", 0) + 1
             else:
                 # remote conventional store reclaims the block; local
                 # approximate updates are forfeited (paper 3.2/3.5)
                 self._set_state(line, _S.I, "GS invalidated")
                 self._note_gs_loss()
-                st.invalidations += 1
+                st["invalidations"] = st.get("invalidations", 0) + 1
         elif line.state is _S.GI:
             # the directory does not track GI copies, so this is a stale
             # invalidation from our earlier S era; drop to I conservatively
             self._set_state(line, _S.I, "stale INV on GI")
             self._gi_blocks.discard(block)
             self._note_gs_loss()
-            st.stray_invs += 1
+            st["stray_invs"] = st.get("stray_invs", 0) + 1
         elif line.state is _S.SM_D:
             # our UPGRADE lost the race; the directory will answer with
             # data instead of an ack
@@ -691,7 +717,7 @@ class L1Controller:
                 raise ProtocolError(f"SM_D without MSHR on {msg}")
             entry.kind = MshrKind.STORE
             self._set_state(line, _S.IM_D, "INV during UPGRADE")
-            st.invalidations += 1
+            st["invalidations"] = st.get("invalidations", 0) + 1
         elif line.state is _S.IS_D:
             # Either the INV overtook our fill, or it targets a stale era
             # (we evicted and re-requested; our GETS is still queued behind
@@ -703,15 +729,16 @@ class L1Controller:
             if entry is None:
                 raise ProtocolError(f"IS_D without MSHR on {msg}")
             entry.fill_to_invalid = True
-            st.deferred_invs += 1
+            st["deferred_invs"] = st.get("deferred_invs", 0) + 1
         elif line.state is _S.IM_D:
-            st.stray_invs += 1
+            st["stray_invs"] = st.get("stray_invs", 0) + 1
         else:
             raise ProtocolError(f"INV in state {line.state}: {msg}")
         self._send(MessageType.INV_ACK, block, msg.src)
 
     def _note_gs_loss(self) -> None:
-        self.stats.approx_data_dropped += 1
+        c = self._c
+        c["approx_data_dropped"] = c.get("approx_data_dropped", 0) + 1
 
     # -- pushed updates (write-update hybrid) -----------------------------
     def _on_update(self, msg: Message) -> None:
@@ -727,34 +754,35 @@ class L1Controller:
         """
         block = msg.block_addr
         line = self.array.lookup(block, touch=False)
-        st = self.stats
+        st = self._c
         state = None if line is None else line.state
         if state is _S.S:
             line.words[:] = msg.words
-            st.updates_applied += 1
+            st["updates_applied"] = st.get("updates_applied", 0) + 1
         elif state is _S.GS:
             # a remote store reclaims the block: under the update hybrid
             # the pushed data replaces the local scribbles (re-cohered)
             line.words[:] = msg.words
             self._set_state(line, _S.S, "UPDATE re-coheres GS")
             self._note_gs_loss()
-            st.updates_applied += 1
+            st["updates_applied"] = st.get("updates_applied", 0) + 1
         elif state is _S.SM_D:
             # our own UPGRADE is queued at the home behind the pusher's;
             # refresh the base copy so our grant publishes current data
             line.words[:] = msg.words
-            st.updates_applied += 1
+            st["updates_applied"] = st.get("updates_applied", 0) + 1
         elif state in (_S.E, _S.M, _S.O):
             # cannot happen (see docstring): ownership requires a prior
             # transaction, which requires our update ack first
             raise ProtocolError(f"UPDATE to owner state {state}: {msg}")
         else:
             # I/GI/IS_D/IM_D or no tag: no longer a live sharer copy
-            st.stray_updates += 1
+            st["stray_updates"] = st.get("stray_updates", 0) + 1
         self._send(MessageType.INV_ACK, block, msg.src)
 
     # -- forwards ---------------------------------------------------------
     def _on_fwd(self, msg: Message) -> None:
+        c = self._c
         block = msg.block_addr
         line = self.array.lookup(block, touch=False)
         if line is not None and line.state is _S.SM_D:
@@ -772,7 +800,7 @@ class L1Controller:
                 # promoted to a GETX by the directory
                 self._send(MessageType.CHAIN_ACK, block, msg.src)
                 self._set_state(line, _S.IM_D, "Fwd_GETX during UPGRADE")
-            self.stats.fwds_serviced += 1
+            c["fwds_serviced"] = c.get("fwds_serviced", 0) + 1
             return
         if line is not None and line.state.transient:
             # forward overtook our grant/fill: service after completion
@@ -780,7 +808,7 @@ class L1Controller:
             if entry is None:
                 raise ProtocolError(f"transient line without MSHR: {msg}")
             entry.deferred.append(msg)
-            self.stats.deferred_fwds += 1
+            c["deferred_fwds"] = c.get("deferred_fwds", 0) + 1
             return
         if line is not None and line.state in (_S.E, _S.M, _S.O):
             self._service_fwd_from_line(line, msg)
@@ -801,9 +829,10 @@ class L1Controller:
                        words=entry.words.copy())
         else:
             self._send(MessageType.CHAIN_ACK, block, msg.src)
-        self.stats.fwds_from_wb_buffer += 1
+        c["fwds_from_wb_buffer"] = c.get("fwds_from_wb_buffer", 0) + 1
 
     def _service_fwd_from_line(self, line: CacheLine, msg: Message) -> None:
+        c = self._c
         block = msg.block_addr
         dirty = line.state is _S.M or line.state is _S.O
         self._send(MessageType.FWD_DATA, block, msg.requestor,
@@ -823,7 +852,7 @@ class L1Controller:
         else:  # FWD_GETX
             self._send(MessageType.CHAIN_ACK, block, msg.src)
             self._set_state(line, _S.I, "invalidated by Fwd_GETX")
-        self.stats.fwds_serviced += 1
+        c["fwds_serviced"] = c.get("fwds_serviced", 0) + 1
 
     # -- deferred messages --------------------------------------------------
     def _run_deferred(self, line: CacheLine, entry: MshrEntry) -> None:

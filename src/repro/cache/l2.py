@@ -33,20 +33,23 @@ class EvictedBlock:
 class L2Slice:
     """One address-interleaved slice of the shared L2."""
 
-    __slots__ = ("node", "cfg", "array", "stats", "bus", "engine")
+    __slots__ = ("node", "cfg", "array", "stats", "_c", "bus", "engine")
 
     def __init__(self, node: int, cfg: CacheConfig, stats: StatGroup) -> None:
         self.node = node
         self.cfg = cfg
         self.array = CacheArray(cfg)
         self.stats = stats
+        # live counter dict; each counter is created on its first bump
+        self._c = stats.counters()
         #: event bus + engine (repro.obs); wired by Machine.attach_bus
         self.bus = None
         self.engine = None
 
     def probe(self, block_addr: int) -> list[int] | None:
         """Read the block if resident (a copy); counts a read access."""
-        self.stats.reads += 1
+        c = self._c
+        c["reads"] = c.get("reads", 0) + 1
         line = self.array.lookup(block_addr)
         bus = self.bus
         if bus is not None:
@@ -56,9 +59,9 @@ class L2Slice:
                 "miss" if line is None else "hit",
             ))
         if line is None:
-            self.stats.read_misses += 1
+            c["read_misses"] = c.get("read_misses", 0) + 1
             return None
-        self.stats.read_hits += 1
+        c["read_hits"] = c.get("read_hits", 0) + 1
         return line.words.copy()
 
     def fill(
@@ -66,7 +69,8 @@ class L2Slice:
     ) -> EvictedBlock | None:
         """Install/overwrite a block; returns the victim (if any) for the
         caller to write back to DRAM when dirty."""
-        self.stats.writes += 1
+        c = self._c
+        c["writes"] = c.get("writes", 0) + 1
         bus = self.bus
         if bus is not None:
             bus.emit(Event(
@@ -84,9 +88,9 @@ class L2Slice:
                 evicted = EvictedBlock(
                     line.tag, line.words, bool(line.state)
                 )
-                self.stats.evictions += 1
+                c["evictions"] = c.get("evictions", 0) + 1
                 if evicted.dirty:
-                    self.stats.dirty_evictions += 1
+                    c["dirty_evictions"] = c.get("dirty_evictions", 0) + 1
                 line.clear()
             self.array.install(line, block_addr)
             line.words = words.copy()

@@ -7,6 +7,7 @@ outstanding transaction (MSHR semantics).
 """
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Iterator
 
 from repro.common.config import CacheConfig
@@ -44,34 +45,52 @@ class CacheLine:
         return f"CacheLine(tag={tag}, state={self.state}, pinned={self.pinned})"
 
 
+@functools.lru_cache(maxsize=None)
+def _plru_paths(assoc: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per-way touch paths of a binary-tree pseudo-LRU.
+
+    ``paths[way]`` lists the ``(node, bit)`` writes that point every
+    node on ``way``'s root path away from it, so a touch is a fixed
+    sequence of list stores (none at all for a direct-mapped array).
+    """
+    paths = []
+    for way in range(assoc):
+        path = []
+        node = 0
+        span = assoc
+        while span > 1:
+            half = span // 2
+            if way < half:
+                path.append((node, 1))         # point at the right (cold) side
+                node = 2 * node + 1
+            else:
+                path.append((node, 0))
+                node = 2 * node + 2
+                way -= half
+            span = half
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
 class _PlruTree:
     """Classic binary-tree pseudo-LRU for power-of-two associativity.
 
     ``bits[i] == 0`` means the *left* subtree is colder (next victim);
-    touching a way flips the bits on its root path to point away from it.
+    touching a way flips the bits on its root path to point away from it
+    (the writes :func:`_plru_paths` tabulates).
     """
 
-    __slots__ = ("assoc", "bits")
+    __slots__ = ("assoc", "bits", "paths")
 
     def __init__(self, assoc: int) -> None:
         self.assoc = assoc
         self.bits = [0] * max(assoc - 1, 1)
+        self.paths = _plru_paths(assoc)
 
     def touch(self, way: int) -> None:
-        if self.assoc == 1:
-            return
-        node = 0
-        span = self.assoc
-        while span > 1:
-            half = span // 2
-            if way < half:
-                self.bits[node] = 1            # point at the right (cold) side
-                node = 2 * node + 1
-            else:
-                self.bits[node] = 0
-                node = 2 * node + 2
-                way -= half
-            span = half
+        bits = self.bits
+        for node, bit in self.paths[way]:
+            bits[node] = bit
 
     def victim(self, evictable: Callable[[int], bool]) -> int | None:
         """PLRU-preferred evictable way, or None if nothing is evictable.
@@ -129,21 +148,26 @@ class CacheArray:
 
     # -- lookup ---------------------------------------------------------
     def lookup(self, block_addr: int, touch: bool = True) -> CacheLine | None:
-        """The line holding ``block_addr``, or None on tag miss."""
+        """The line holding ``block_addr``, or None on tag miss.
+
+        With ``touch`` a hit also marks the line most-recently-used; the
+        PLRU path writes run here, so a hit is a single array call.
+        """
         idx = (block_addr >> self._blk_shift) & self._set_mask
         ways = self._sets[idx]
         if ways is None:
             return None
-        for way, line in enumerate(ways):
+        way = 0
+        for line in ways:
             if line.tag == block_addr:
                 if touch:
-                    self._plru[idx].touch(way)
+                    tree = self._plru[idx]
+                    bits = tree.bits
+                    for node, bit in tree.paths[way]:
+                        bits[node] = bit
                 return line
+            way += 1
         return None
-
-    def touch(self, block_addr: int) -> None:
-        """Mark the block most-recently-used (PLRU update only)."""
-        self.lookup(block_addr, touch=True)
 
     # -- allocation -------------------------------------------------------
     def find_free_or_victim(

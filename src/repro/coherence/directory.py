@@ -114,6 +114,8 @@ class DirectoryAgent:
         self.backing = backing
         self.dram = dram
         self.stats = stats
+        # live counter dict; each counter is created on its first bump
+        self._c = stats.counters()
         self._entries: dict[int, DirEntry] = {}
         #: event bus (repro.obs); wired by Machine.attach_bus
         self.bus = None
@@ -149,6 +151,7 @@ class DirectoryAgent:
     def receive(self, msg: Message) -> None:
         """Message entry point: responses feed the active transaction;
         requests start or queue behind the per-block transaction."""
+        c = self._c
         mtype = msg.mtype
         if mtype in (MessageType.INV_ACK, MessageType.CHAIN_DATA,
                      MessageType.CHAIN_ACK, MessageType.CHAIN_ACK_OWNED):
@@ -157,7 +160,7 @@ class DirectoryAgent:
         e = self.entry(msg.block_addr)
         if e.busy:
             e.pending.append(msg)
-            self.stats.queued_requests += 1
+            c["queued_requests"] = c.get("queued_requests", 0) + 1
         else:
             self._start(e, msg)
 
@@ -172,9 +175,10 @@ class DirectoryAgent:
             self._dispatch(e, msg)
 
     def _dispatch(self, e: DirEntry, msg: Message) -> None:
+        c = self._c
         e.txn = _Txn(msg)
         mtype = msg.mtype
-        self.stats.transactions += 1
+        c["transactions"] = c.get("transactions", 0) + 1
         bus = self.bus
         if bus is not None:
             bus.emit(Event(
@@ -210,6 +214,7 @@ class DirectoryAgent:
     # request handlers
     # ------------------------------------------------------------------
     def _do_gets(self, e: DirEntry, msg: Message) -> None:
+        c = self._c
         block, req = msg.block_addr, msg.src
         if e.state is DirState.EM or e.state is DirState.O:
             if e.owner == req:
@@ -218,7 +223,7 @@ class DirectoryAgent:
                 )
             e.txn.waiting_chain = True
             self._send(MessageType.FWD_GETS, block, e.owner, requestor=req)
-            self.stats.fwd_gets += 1
+            c["fwd_gets"] = c.get("fwd_gets", 0) + 1
 
             # completion continues in _handle_response
             def on_chain(chain: Message) -> None:
@@ -257,6 +262,7 @@ class DirectoryAgent:
         self._fetch(block, deliver_excl)
 
     def _do_getx(self, e: DirEntry, msg: Message) -> None:
+        c = self._c
         block, req = msg.block_addr, msg.src
         if e.state is DirState.EM:
             if e.owner == req:
@@ -266,7 +272,7 @@ class DirectoryAgent:
             old_owner = e.owner
             e.txn.waiting_chain = True
             self._send(MessageType.FWD_GETX, block, old_owner, requestor=req)
-            self.stats.fwd_getx += 1
+            c["fwd_getx"] = c.get("fwd_getx", 0) + 1
 
             def on_chain(_chain: Message) -> None:
                 # requestor got the data directly from the old owner
@@ -283,10 +289,10 @@ class DirectoryAgent:
             txn.pending_acks = len(others)
             for node in others:
                 self._send(MessageType.INV, block, node)
-                self.stats.invalidations_sent += 1
+                c["invalidations_sent"] = c.get("invalidations_sent", 0) + 1
             txn.waiting_chain = True
             self._send(MessageType.FWD_GETX, block, e.owner, requestor=req)
-            self.stats.fwd_getx += 1
+            c["fwd_getx"] = c.get("fwd_getx", 0) + 1
 
             def check() -> None:
                 if txn.pending_acks == 0 and not txn.waiting_chain:
@@ -307,7 +313,7 @@ class DirectoryAgent:
         txn.pending_acks = len(others)
         for node in others:
             self._send(MessageType.INV, block, node)
-            self.stats.invalidations_sent += 1
+            c["invalidations_sent"] = c.get("invalidations_sent", 0) + 1
 
         def data_ready(words: list[int], src_node: int) -> None:
             txn.data_words = words
@@ -330,6 +336,7 @@ class DirectoryAgent:
         self._finish(e, block)
 
     def _do_upgrade(self, e: DirEntry, msg: Message) -> None:
+        c = self._c
         block, req = msg.block_addr, msg.src
         if e.state is DirState.O and (req == e.owner or req in e.sharers):
             # MOESI: grant M to the upgrading owner/sharer after every
@@ -343,8 +350,8 @@ class DirectoryAgent:
             txn.pending_acks = len(targets)
             for node in targets:
                 self._send(MessageType.INV, block, node)
-                self.stats.invalidations_sent += 1
-            self.stats.upgrades += 1
+                c["invalidations_sent"] = c.get("invalidations_sent", 0) + 1
+            c["upgrades"] = c.get("upgrades", 0) + 1
             if txn.pending_acks == 0:
                 self._complete_upgrade(e, block, req)
             return
@@ -364,15 +371,15 @@ class DirectoryAgent:
             txn.pending_acks = len(others)
             for node in others:
                 self._send(MessageType.INV, block, node)
-                self.stats.invalidations_sent += 1
-            self.stats.upgrades += 1
+                c["invalidations_sent"] = c.get("invalidations_sent", 0) + 1
+            c["upgrades"] = c.get("upgrades", 0) + 1
             if txn.pending_acks == 0:
                 self._complete_upgrade(e, block, req)
             # else: completion continues as INV_ACKs arrive
             return
         # the requestor lost its sharer status while the UPGRADE was in
         # flight: promote to a full GETX (its L1 is now in IM_D)
-        self.stats.upgrades_promoted += 1
+        c["upgrades_promoted"] = c.get("upgrades_promoted", 0) + 1
         self._do_getx(e, msg)
 
     def _complete_upgrade(self, e: DirEntry, block: int, req: int) -> None:
@@ -388,13 +395,14 @@ class DirectoryAgent:
         the requestor *shared* (not exclusive) access once all sharers
         acknowledged.  Directory state stays S with the sharer set
         unchanged — everyone still holds the (now refreshed) block."""
+        c = self._c
         block, req = msg.block_addr, msg.src
         if msg.addr is None or msg.value is None:
             raise ProtocolError(f"update UPGRADE without word payload: {msg}")
         txn = e.txn
         txn.is_update = True
-        self.stats.upgrades += 1
-        self.stats.updates += 1
+        c["upgrades"] = c.get("upgrades", 0) + 1
+        c["updates"] = c.get("updates", 0) + 1
 
         def data_ready(words: list[int], _src_node: int) -> None:
             words = words.copy()
@@ -404,7 +412,7 @@ class DirectoryAgent:
             for node in others:
                 self._send(MessageType.UPDATE, block, node,
                            words=words.copy())
-                self.stats.updates_sent += 1
+                c["updates_sent"] = c.get("updates_sent", 0) + 1
 
         self._fetch(block, data_ready)
 
@@ -414,6 +422,7 @@ class DirectoryAgent:
         self._finish(e, block)
 
     def _do_puts(self, e: DirEntry, msg: Message) -> None:
+        c = self._c
         block, src = msg.block_addr, msg.src
         if e.state is DirState.S:
             e.sharers.discard(src)
@@ -425,17 +434,18 @@ class DirectoryAgent:
                 e.state = DirState.EM  # the dirty owner remains
         # in EM/I the PUTS is stale (its copy was already invalidated or
         # converted); nothing to do — PUTS needs no acknowledgement
-        self.stats.puts += 1
+        c["puts"] = c.get("puts", 0) + 1
         self._finish(e, block)
 
     def _do_pute_putm(self, e: DirEntry, msg: Message) -> None:
+        c = self._c
         block, src = msg.block_addr, msg.src
         if e.state in (DirState.EM, DirState.O) and e.owner == src:
             if msg.mtype is MessageType.PUTM:
                 self._l2_install(block, msg.words, dirty=True)
-                self.stats.putm += 1
+                c["putm"] = c.get("putm", 0) + 1
             else:
-                self.stats.pute += 1
+                c["pute"] = c.get("pute", 0) + 1
             e.owner = None
             # an O owner's departure leaves its sharers behind
             e.state = DirState.S if e.sharers else DirState.I
@@ -443,7 +453,7 @@ class DirectoryAgent:
         else:
             # ownership moved while the PUT was in flight (the L1 already
             # served the forward from its write-back buffer)
-            self.stats.stale_puts += 1
+            c["stale_puts"] = c.get("stale_puts", 0) + 1
             self._send(MessageType.ACK, block, src, stale=True)
         self._finish(e, block)
 
@@ -496,6 +506,7 @@ class DirectoryAgent:
         ``then(words, src_node)`` runs when data is ready; ``src_node`` is
         where the data message should originate (the slice tile).
         """
+        c = self._c
         slc = self._slice(block)
         hop = self.network.account_transfer(self.node, slc.node, data=False)
 
@@ -504,7 +515,7 @@ class DirectoryAgent:
             if words is not None:
                 then(words, slc.node)
                 return
-            self.stats.l2_misses += 1
+            c["l2_misses"] = c.get("l2_misses", 0) + 1
 
             def from_dram() -> None:
                 data = self.backing.read_block(block)
@@ -521,10 +532,11 @@ class DirectoryAgent:
     def _l2_install(self, block: int, words: list[int], dirty: bool) -> None:
         """Write dirty data (from a PUTM or chained copyback) into the L2
         slice, spilling any dirty victim to DRAM."""
+        c = self._c
         slc = self._slice(block)
         self.network.account_transfer(self.node, slc.node, data=True)
         victim = slc.fill(block, words, dirty=dirty)
-        self.stats.l2_installs += 1
+        c["l2_installs"] = c.get("l2_installs", 0) + 1
         if victim is not None and victim.dirty:
             self.backing.write_block(victim.block_addr, victim.words)
             self.dram.write(victim.block_addr)

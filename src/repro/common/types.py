@@ -49,6 +49,17 @@ class CoherenceState(enum.Enum):
     ``I`` at the L1 means *tag present but invalid* when the tag exists
     (matching Fig. 3 of the paper); a genuinely absent block simply has no
     entry in the cache.
+
+    Every member carries six boolean flags as plain attributes, set once
+    below the class (reading one is an attribute load, not a set probe
+    that would hash the member):
+
+    * ``stable`` — not transient;
+    * ``transient`` — a transaction is in flight;
+    * ``readable`` — loads hit without a coherence transaction;
+    * ``writable`` — conventional stores hit without a transaction;
+    * ``approximate`` — the Ghostwriter GS/GI states;
+    * ``owns_dirty_data`` — written back on (non-approximate) eviction.
     """
 
     # --- stable ---
@@ -66,66 +77,24 @@ class CoherenceState(enum.Enum):
     IM_D = "IM_D"    # I -> M, waiting for data (+acks)
     SM_D = "SM_D"    # S -> M via UPGRADE, waiting for ack/data
 
-    @property
-    def stable(self) -> bool:
-        """True for non-transient states."""
-        return self in _STABLE_STATES
 
-    @property
-    def transient(self) -> bool:
-        """True while a transaction is in flight."""
-        return not self.stable
-
-    @property
-    def readable(self) -> bool:
-        """Loads hit without a coherence transaction."""
-        return self in _READABLE_STATES
-
-    @property
-    def writable(self) -> bool:
-        """Conventional stores hit without a coherence transaction."""
-        return self in _WRITABLE_STATES
-
-    @property
-    def approximate(self) -> bool:
-        """True for the Ghostwriter GS/GI states."""
-        return self is CoherenceState.GS or self is CoherenceState.GI
-
-    @property
-    def owns_dirty_data(self) -> bool:
-        """Block must be written back on (non-approximate) eviction."""
-        return self is CoherenceState.M or self is CoherenceState.O
+def _set_flags(members, flags: dict[str, set]) -> None:
+    """Give every enum member one boolean attribute per flag: True for
+    the members the flag's set names."""
+    for member in members:
+        for flag, holders in flags.items():
+            setattr(member, flag, member in holders)
 
 
-_STABLE_STATES = frozenset(
-    {
-        CoherenceState.I,
-        CoherenceState.S,
-        CoherenceState.E,
-        CoherenceState.M,
-        CoherenceState.O,
-        CoherenceState.GS,
-        CoherenceState.GI,
-    }
-)
-_READABLE_STATES = frozenset(
-    {
-        CoherenceState.S,
-        CoherenceState.E,
-        CoherenceState.M,
-        CoherenceState.O,
-        CoherenceState.GS,
-        CoherenceState.GI,
-    }
-)
-_WRITABLE_STATES = frozenset(
-    {
-        CoherenceState.E,
-        CoherenceState.M,
-        CoherenceState.GS,
-        CoherenceState.GI,
-    }
-)
+_CS = CoherenceState
+_set_flags(CoherenceState, {
+    "stable": {_CS.I, _CS.S, _CS.E, _CS.M, _CS.O, _CS.GS, _CS.GI},
+    "transient": {_CS.IS_D, _CS.IM_D, _CS.SM_D},
+    "readable": {_CS.S, _CS.E, _CS.M, _CS.O, _CS.GS, _CS.GI},
+    "writable": {_CS.E, _CS.M, _CS.GS, _CS.GI},
+    "approximate": {_CS.GS, _CS.GI},
+    "owns_dirty_data": {_CS.M, _CS.O},
+})
 
 
 class DirState(enum.Enum):
@@ -148,7 +117,13 @@ class MessageClass(enum.Enum):
 
 
 class MessageType(enum.Enum):
-    """Every coherence message exchanged between L1s and directories."""
+    """Every coherence message exchanged between L1s and directories.
+
+    Each member carries its wire ``label``, its Fig. 8 traffic ``klass``,
+    ``carries_data``, and ``to_directory`` (set below the class): True
+    when the message is addressed to a home agent rather than an L1,
+    which is how a tile hosting both demultiplexes its inbound traffic.
+    """
 
     # requests: L1 -> directory
     GETS = ("GETS", MessageClass.GETS, False)
@@ -178,6 +153,15 @@ class MessageType(enum.Enum):
         self.label = label
         self.klass = klass
         self.carries_data = carries_data
+
+
+_MT = MessageType
+_set_flags(MessageType, {
+    "to_directory": {
+        _MT.GETS, _MT.GETX, _MT.UPGRADE, _MT.PUTS, _MT.PUTE, _MT.PUTM,
+        _MT.INV_ACK, _MT.CHAIN_DATA, _MT.CHAIN_ACK, _MT.CHAIN_ACK_OWNED,
+    },
+})
 
 
 @dataclass(frozen=True, slots=True)

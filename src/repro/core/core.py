@@ -14,6 +14,11 @@ simulator-performance optimization — see the HPC guide's "measure, then
 remove the bottleneck"); any miss, sync op, or exhausted quantum yields
 back to the scheduler.  The resulting event-order skew is bounded by the
 quantum and is configurable down to 1 for strictly ordered runs.
+
+Per memory op the loop makes exactly one call into the L1,
+:meth:`~repro.cache.l1.L1Controller.access`, with the hit latency and
+the controller's bound method held in locals; the approximate-region
+lookup runs only while an ``approx_begin`` region is active.
 """
 from __future__ import annotations
 
@@ -182,10 +187,11 @@ class Core:
             return
         budget = self.quantum_cycles
         elapsed = 0
-        hit_latency = self.l1.cfg.l1.hit_latency
+        hit_latency = self._hit_latency
         st = self._c
         engine = self.engine
         access = self.l1.access
+        approx = self.approx
 
         program = self.program
         sends = None if self._recorder is None else self._recorder.sends
@@ -218,7 +224,8 @@ class Core:
             if cls is isa.Store or cls is isa.Scribble:
                 st["mem_ops"] += 1
                 atype = _SCRIBBLE if (
-                    cls is isa.Scribble or self.approx.is_approx(op.addr)
+                    cls is isa.Scribble
+                    or (approx.enabled and approx.is_approx(op.addr))
                 ) else _STORE
                 hit, _ = access(atype, op.addr, op.value, self._resume_with)
                 if hit:

@@ -30,18 +30,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+# The memory ops are built once per simulated access, so they are
+# slotted but not frozen: a frozen dataclass's __init__ goes through
+# object.__setattr__ per field, about twice the cost.  Programs never
+# mutate an op after yielding it; equality and repr are unchanged.
+@dataclass(slots=True)
 class Load:
     addr: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Store:
     addr: int
     value: int  # 32-bit pattern
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Scribble:
     """Explicitly approximate store (bypasses region lookup)."""
 

@@ -74,6 +74,28 @@ class BackingStore:
             self._blocks[base] = blk
         blk[self._word_offset(addr)] = value & WORD_MASK
 
+    def store_words(self, addr: int, words: list[int]) -> None:
+        """Write consecutive aligned 32-bit words starting at ``addr``.
+
+        Equivalent to :meth:`store_word` on each word in turn, but every
+        touched block is looked up (or created) once and written as one
+        slice.
+        """
+        off = self._word_offset(addr)
+        base = self.block_base(addr)
+        wpb = self.words_per_block
+        blocks = self._blocks
+        i = 0
+        while i < len(words):
+            blk = blocks.get(base)
+            if blk is None:
+                blk = blocks[base] = [0] * wpb
+            take = min(wpb - off, len(words) - i)
+            blk[off:off + take] = [w & WORD_MASK for w in words[i:i + take]]
+            i += take
+            base += self.block_bytes
+            off = 0
+
     # -- introspection ---------------------------------------------------
     def memory_image(self) -> dict[int, list[int]]:
         """Deep copy of all resident blocks (test oracles, checkpoints)."""

@@ -20,7 +20,8 @@ __all__ = ["Dram"]
 class Dram:
     """Bank-aware fixed-latency DRAM behind the L2 slices."""
 
-    __slots__ = ("cfg", "engine", "stats", "block_bytes", "_bank_free_at")
+    __slots__ = ("cfg", "engine", "stats", "_c", "block_bytes",
+                 "_bank_free_at")
 
     def __init__(self, cfg: DramConfig, engine: Engine, block_bytes: int,
                  stats: StatGroup | None = None) -> None:
@@ -28,22 +29,26 @@ class Dram:
         self.engine = engine
         self.block_bytes = block_bytes
         self.stats = stats if stats is not None else StatGroup("dram")
+        # live counter dict; each counter is created on its first bump
+        self._c = self.stats.counters()
         self._bank_free_at = [0] * cfg.num_banks
 
     def _bank(self, block_addr: int) -> int:
         return (block_addr // self.block_bytes) % self.cfg.num_banks
 
     def _access(self, block_addr: int, done: Callable[[], None]) -> None:
+        c = self._c
         bank = self._bank(block_addr)
         start = max(self.engine.now, self._bank_free_at[bank])
         queue_delay = start - self.engine.now
         self._bank_free_at[bank] = start + self.cfg.bank_busy_cycles
-        self.stats.queue_cycles += queue_delay
+        c["queue_cycles"] = c.get("queue_cycles", 0) + queue_delay
         self.engine.schedule(queue_delay + self.cfg.access_latency, done)
 
     def read(self, block_addr: int, done: Callable[[], None]) -> None:
         """Schedule ``done`` when the block read completes."""
-        self.stats.reads += 1
+        c = self._c
+        c["reads"] = c.get("reads", 0) + 1
         self._access(block_addr, done)
 
     # -- checkpoint layer ---------------------------------------------
@@ -57,7 +62,8 @@ class Dram:
 
     def write(self, block_addr: int, done: Callable[[], None] | None = None) -> None:
         """Schedule a block writeback; ``done`` is optional (posted write)."""
-        self.stats.writes += 1
+        c = self._c
+        c["writes"] = c.get("writes", 0) + 1
         self._access(block_addr, done if done is not None else _noop)
 
 

@@ -31,7 +31,8 @@ class Network:
 
     __slots__ = ("cfg", "topo", "engine", "stats", "block_bytes",
                  "_endpoints", "_class_counts", "_in_flight", "fault_hook",
-                 "bus", "_c", "_route_memo")
+                 "bus", "_c", "_route_memo", "_data_payload",
+                 "_ctrl_payload")
 
     def __init__(self, cfg: NocConfig, engine: Engine, block_bytes: int,
                  stats: StatGroup | None = None) -> None:
@@ -42,8 +43,15 @@ class Network:
         self.block_bytes = block_bytes
         self.stats = stats if stats is not None else StatGroup("noc")
         self._endpoints: dict[int, Callable[[Message], None]] = {}
-        # eagerly materialize the Fig. 8 class counters
-        self._class_counts = {klass: 0 for klass in MessageClass}
+        # eagerly materialize the Fig. 8 class counters, keyed by the
+        # class's string value: a str key hashes in C, an enum member
+        # through the Python-level Enum.__hash__ (and the per-message
+        # paths read ``_value_``, the plain attribute behind the
+        # ``value`` descriptor)
+        self._class_counts = {klass.value: 0 for klass in MessageClass}
+        #: wire size of a data-bearing / control message
+        self._data_payload = block_bytes + cfg.control_msg_bytes
+        self._ctrl_payload = cfg.control_msg_bytes
         self._c = self.stats.counters(
             "messages", "flits", "flit_hops", "router_traversals",
             "payload_bytes",
@@ -81,14 +89,16 @@ class Network:
         handler = self._endpoints.get(msg.dst)
         if handler is None:
             raise ValueError(f"no endpoint registered at node {msg.dst}")
-        payload = msg.payload_bytes(self.block_bytes, self.cfg.control_msg_bytes)
+        mtype = msg.mtype
+        payload = (self._data_payload if mtype.carries_data
+                   else self._ctrl_payload)
         latency = self._entry(msg.src, msg.dst, payload,
-                              msg.mtype.klass)
+                              mtype.klass._value_)
         bus = self.bus
         if bus is not None:
             bus.emit(Event(
                 self.engine.now, EventKind.MSG, msg.src, msg.block_addr,
-                msg.mtype.label, msg.mtype.klass.value, msg.dst,
+                mtype.label, mtype.klass.value, msg.dst,
             ))
         if self.fault_hook is not None:
             extra_delay += self.fault_hook(msg)
@@ -108,16 +118,12 @@ class Network:
         """Account an internal transfer (e.g. directory <-> L2 slice) and
         return its latency, without delivering a message object.  Used for
         hops the home agent orchestrates directly."""
-        payload = (
-            self.block_bytes + self.cfg.control_msg_bytes
-            if data
-            else self.cfg.control_msg_bytes
-        )
-        return self._entry(src, dst, payload, klass)
+        payload = self._data_payload if data else self._ctrl_payload
+        return self._entry(src, dst, payload, klass._value_)
 
-    def _entry(self, src: int, dst: int, payload: int,
-               klass: MessageClass) -> int:
-        """Account one transfer and return its latency (memoized route)."""
+    def _entry(self, src: int, dst: int, payload: int, klass: str) -> int:
+        """Account one transfer of Fig. 8 class value ``klass`` and
+        return its latency (memoized route)."""
         key = (src, dst, payload)
         ent = self._route_memo.get(key)
         if ent is None:
@@ -162,22 +168,22 @@ class Network:
                 f"{len(self._in_flight)} message(s) in flight; snapshot "
                 "requires an empty network"
             )
-        return {"class_counts": {k.value: n
-                                 for k, n in self._class_counts.items()}}
+        return {"class_counts": dict(self._class_counts)}
 
     def restore(self, blob: dict) -> None:
         """Adopt :meth:`snapshot` state (the route memo is pure cache)."""
         counts = blob["class_counts"]
-        self._class_counts = {klass: counts[klass.value]
+        self._class_counts = {klass.value: counts[klass.value]
                               for klass in MessageClass}
         self._in_flight = {}
 
     # -- reporting ---------------------------------------------------------
     def class_counts(self) -> dict[MessageClass, int]:
         """Per-class message counts (the Fig. 8 breakdown)."""
-        return dict(self._class_counts)
+        return {klass: self._class_counts[klass.value]
+                for klass in MessageClass}
 
     def finalize_stats(self) -> None:
         """Copy class counts into the stats tree for flattening."""
-        for klass, n in self._class_counts.items():
-            setattr(self.stats, f"msgs_{klass.value}", n)
+        for value, n in self._class_counts.items():
+            setattr(self.stats, f"msgs_{value}", n)

@@ -8,8 +8,8 @@ the post-run statistics bundle the harness consumes.
 Directory nodes coincide with core tiles (corners host both an L1 and a
 directory controller), so each mesh endpoint demultiplexes incoming
 messages by type: requests/responses addressed to the home go to the
-agent, everything else to the L1.  The two message sets are disjoint by
-construction.
+agent, everything else to the L1 (``MessageType.to_directory`` is the
+routing bit).
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from repro.coherence.directory import DirectoryAgent
 from repro.coherence.messages import Message, ProtocolError
 from repro.common.config import SimConfig
 from repro.common.stats import StatGroup
-from repro.common.types import MessageType
 from repro.core.core import Core
 from repro.core.sync import Barrier, Lock
 from repro.faults.injector import FaultInjector
@@ -53,15 +52,6 @@ def machine_hook(fn):
         yield fn
     finally:
         _CONSTRUCTION_HOOKS.remove(fn)
-
-_DIRECTORY_TYPES = frozenset(
-    {
-        MessageType.GETS, MessageType.GETX, MessageType.UPGRADE,
-        MessageType.PUTS, MessageType.PUTE, MessageType.PUTM,
-        MessageType.INV_ACK, MessageType.CHAIN_DATA, MessageType.CHAIN_ACK,
-        MessageType.CHAIN_ACK_OWNED,
-    }
-)
 
 
 class Machine:
@@ -169,8 +159,7 @@ class Machine:
             self.bus = EventBus()
             self.network.bus = self.bus
             for l1 in self.l1s:
-                l1.bus = self.bus
-                l1.scribe.bus = self.bus
+                l1.attach_bus(self.bus)
             for slc in self.l2_slices:
                 slc.bus = self.bus
                 slc.engine = self.engine
@@ -184,7 +173,7 @@ class Machine:
         l1 = self.l1s[node] if node < self.cfg.num_cores else None
 
         def dispatch(msg: Message) -> None:
-            if msg.mtype in _DIRECTORY_TYPES:
+            if msg.mtype.to_directory:
                 if agent is None:
                     raise ProtocolError(f"no directory at node {node}: {msg}")
                 agent.receive(msg)

@@ -19,6 +19,8 @@ that emit ISA ops, so workload code reads like the C it mirrors.
 """
 from __future__ import annotations
 
+import struct
+from itertools import islice
 from typing import Generator, Iterable, Sequence
 
 from repro.isa.instructions import Load, Store
@@ -33,6 +35,15 @@ from repro.scribe.similarity import (
 __all__ = ["SharedMemory", "I32Array", "F32Array"]
 
 _WORD = 4
+_MASK = 0xFFFFFFFF
+_SIGN = 0x80000000
+_WRAP = 1 << 32
+# binary32 <-> bit-pattern conversions (the bodies of
+# ``float_to_bits`` / ``bits_to_float``), bound once
+_pack_f32 = struct.Struct("<f").pack
+_unpack_f32 = struct.Struct("<f").unpack
+_pack_u32 = struct.Struct("<I").pack
+_unpack_u32 = struct.Struct("<I").unpack
 
 
 class _ArrayBase:
@@ -52,6 +63,13 @@ class _ArrayBase:
             raise IndexError(f"{self.name}[{index}] out of range")
         return self.base + index * _WORD
 
+    def _init_words(self, words: list[int]) -> None:
+        """Write the word patterns of :meth:`init` from the array base,
+        one backing-store call for the whole run."""
+        if len(words) > self.length:
+            raise ValueError(f"too many initializers for {self.name}")
+        self.mem.backing.store_words(self.base, words)
+
     def byte_range(self) -> tuple[int, int]:
         """(start, end) byte range for approx_begin annotations."""
         return self.base, self.base + self.length * _WORD
@@ -66,29 +84,41 @@ class I32Array(_ArrayBase):
     __slots__ = ()
 
     # -- generator accessors (execute through the caches) --------------
+    # Each accessor is one generator frame: the bounds check and the
+    # two's-complement conversions are inlined rather than delegated to
+    # ``addr`` and the :mod:`repro.scribe.similarity` converters, since
+    # these run once per simulated reference.
     def load(self, index: int) -> Generator:
         """Yields a Load; returns the signed value (use ``yield from``)."""
-        bits = yield Load(self.addr(index))
-        return bits_to_int(bits)
+        if not 0 <= index < self.length:
+            raise IndexError(f"{self.name}[{index}] out of range")
+        bits = (yield Load(self.base + index * _WORD)) & _MASK
+        return bits - _WRAP if bits & _SIGN else bits
 
     def store(self, index: int, value: int) -> Generator:
         """Yields a Store of a signed 32-bit value."""
-        yield Store(self.addr(index), int_to_bits(value))
+        if not 0 <= index < self.length:
+            raise IndexError(f"{self.name}[{index}] out of range")
+        if not -_SIGN <= value < _WRAP:
+            raise OverflowError(f"{value} does not fit in 32 bits")
+        yield Store(self.base + index * _WORD, value & _MASK)
 
     def add(self, index: int, delta: int) -> Generator:
-        """The ubiquitous read-modify-write (``arr[i] += delta``)."""
-        cur = yield from self.load(index)
-        yield from self.store(index, _wrap32(cur + delta))
-        return _wrap32(cur + delta)
+        """The ubiquitous read-modify-write (``arr[i] += delta``): one
+        Load, one Store of the 32-bit-wrapped sum, which it returns."""
+        if not 0 <= index < self.length:
+            raise IndexError(f"{self.name}[{index}] out of range")
+        addr = self.base + index * _WORD
+        # wrapping mod 2**32 makes the loaded word's sign irrelevant
+        bits = ((yield Load(addr)) + delta) & _MASK
+        yield Store(addr, bits)
+        return bits - _WRAP if bits & _SIGN else bits
 
     # -- direct (functional, un-timed) access ----------------------------
     def init(self, values: Iterable[int]) -> None:
         """Pre-load initial contents straight into the backing store."""
-        backing = self.mem.backing
-        for i, v in enumerate(values):
-            if i >= self.length:
-                raise ValueError(f"too many initializers for {self.name}")
-            backing.store_word(self.base + i * _WORD, int_to_bits(v))
+        self._init_words([int_to_bits(v)
+                          for v in islice(values, self.length + 1)])
 
     def read_back(self) -> list[int]:
         """Final globally-coherent contents (from the backing store via
@@ -107,27 +137,34 @@ class F32Array(_ArrayBase):
 
     def load(self, index: int) -> Generator:
         """Yields a Load; returns the float value (use ``yield from``)."""
-        bits = yield Load(self.addr(index))
-        return bits_to_float(bits)
+        if not 0 <= index < self.length:
+            raise IndexError(f"{self.name}[{index}] out of range")
+        bits = yield Load(self.base + index * _WORD)
+        return _unpack_f32(_pack_u32(bits & _MASK))[0]
 
     def store(self, index: int, value: float) -> Generator:
         """Yields a Store of a binary32 value."""
-        yield Store(self.addr(index), float_to_bits(value))
+        if not 0 <= index < self.length:
+            raise IndexError(f"{self.name}[{index}] out of range")
+        yield Store(self.base + index * _WORD,
+                    _unpack_u32(_pack_f32(value))[0])
 
     def add(self, index: int, delta: float) -> Generator:
-        """Read-modify-write through binary32 rounding."""
-        cur = yield from self.load(index)
-        new = float(bits_to_float(float_to_bits(cur + delta)))
-        yield from self.store(index, new)
-        return new
+        """Read-modify-write through binary32 rounding: one Load, one
+        Store of the rounded sum, which it returns."""
+        if not 0 <= index < self.length:
+            raise IndexError(f"{self.name}[{index}] out of range")
+        addr = self.base + index * _WORD
+        bits = yield Load(addr)
+        cur = _unpack_f32(_pack_u32(bits & _MASK))[0]
+        bits = _unpack_u32(_pack_f32(cur + delta))[0]
+        yield Store(addr, bits)
+        return _unpack_f32(_pack_u32(bits))[0]
 
     def init(self, values: Iterable[float]) -> None:
         """Pre-load initial contents straight into the backing store."""
-        backing = self.mem.backing
-        for i, v in enumerate(values):
-            if i >= self.length:
-                raise ValueError(f"too many initializers for {self.name}")
-            backing.store_word(self.base + i * _WORD, float_to_bits(v))
+        self._init_words([float_to_bits(v)
+                          for v in islice(values, self.length + 1)])
 
     def read_back(self) -> list[float]:
         """Final globally-coherent contents (post-run)."""
@@ -136,12 +173,6 @@ class F32Array(_ArrayBase):
             bits_to_float(backing.load_word(self.base + i * _WORD))
             for i in range(self.length)
         ]
-
-
-def _wrap32(value: int) -> int:
-    """Two's-complement 32-bit wraparound (C int semantics)."""
-    value &= 0xFFFFFFFF
-    return value - (1 << 32) if value & 0x80000000 else value
 
 
 class SharedMemory:

@@ -64,6 +64,46 @@ class TestCoherenceState:
         assert not CoherenceState.O.approximate
 
 
+#: every CoherenceState member's flags, as
+#: (stable, transient, readable, writable, approximate, owns_dirty_data)
+STATE_FLAGS = {
+    "I":    (True,  False, False, False, False, False),
+    "S":    (True,  False, True,  False, False, False),
+    "E":    (True,  False, True,  True,  False, False),
+    "M":    (True,  False, True,  True,  False, True),
+    "O":    (True,  False, True,  False, False, True),
+    "GS":   (True,  False, True,  True,  True,  False),
+    "GI":   (True,  False, True,  True,  True,  False),
+    "IS_D": (False, True,  False, False, False, False),
+    "IM_D": (False, True,  False, False, False, False),
+    "SM_D": (False, True,  False, False, False, False),
+}
+FLAG_NAMES = ("stable", "transient", "readable", "writable", "approximate",
+              "owns_dirty_data")
+
+#: the message types a home agent (not an L1) receives
+TO_DIRECTORY = {
+    "GETS", "GETX", "UPGRADE", "PUTS", "PUTE", "PUTM",
+    "INV_ACK", "CHAIN_DATA", "CHAIN_ACK", "CHAIN_ACK_OWNED",
+}
+
+
+class TestFlagTables:
+    """The member-attribute flags, pinned against explicit tables."""
+
+    def test_every_state_flag(self):
+        assert {s.name for s in CoherenceState} == set(STATE_FLAGS)
+        for state in CoherenceState:
+            got = tuple(getattr(state, flag) for flag in FLAG_NAMES)
+            assert got == STATE_FLAGS[state.name], state
+            assert all(type(v) is bool for v in got), state
+
+    def test_every_message_routing_bit(self):
+        for mtype in MessageType:
+            assert mtype.to_directory is (mtype.name in TO_DIRECTORY), mtype
+        assert TO_DIRECTORY <= {m.name for m in MessageType}
+
+
 class TestMessageType:
     def test_data_bearing(self):
         assert MessageType.DATA.carries_data

@@ -36,6 +36,41 @@ class TestAttachBus:
             assert slc.bus is bus
 
 
+class TestAccessEvents:
+    """``ACCESS`` events come from the emitting ``access`` variant that
+    ``attach_bus`` installs; an unbused L1 runs the plain method."""
+
+    def test_unbused_l1_runs_the_class_method(self):
+        m = build_machine(2)
+        for l1 in m.l1s:
+            assert "access" not in vars(l1)
+        m.attach_bus()
+        for l1 in m.l1s:
+            assert l1.access == l1._access_with_event
+
+    def test_one_event_per_access_matching_the_l1_counters(self):
+        from repro.harness.experiment import experiment_config
+        from repro.workloads.registry import create
+
+        cfg = experiment_config(enabled=True, d_distance=4, num_cores=4)
+        w = create("bad_dot_product", num_threads=4, seed=3, n_points=256,
+                   max_value=7)
+        m = w.prepare(cfg)
+        rec = EventRecorder()
+        m.attach_bus().subscribe(rec.record, kinds={EventKind.ACCESS})
+        m.run()
+        events = rec.by_kind(EventKind.ACCESS)
+        l1 = m.stats.child("l1")
+        loads, stores = l1.total("loads"), l1.total("stores")
+        assert loads and stores
+        assert len(events) == len(rec) == loads + stores
+        assert sum(e.what == "load" for e in events) == loads
+        hits = sum(e.info == "hit" for e in events)
+        assert hits == l1.total("load_hits") + l1.total("store_hits")
+        assert len(events) - hits == (
+            l1.total("load_misses") + l1.total("store_misses"))
+
+
 class TestEmission:
     def test_sharing_run_emits_every_core_kind(self):
         m, rec = _traced(2)

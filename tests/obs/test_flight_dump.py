@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.config import ObsConfig, VerifyConfig, small_config
 from repro.isa.instructions import Compute, Load
-from repro.sim.machine import Machine, _DIRECTORY_TYPES
+from repro.sim.machine import Machine
 from repro.verify.watchdog import DeadlockError
 
 BLK = 0x4000
@@ -25,7 +25,7 @@ def _wedge(m):
     orig = m.network._endpoints[1]
 
     def handler(msg):
-        if msg.mtype in _DIRECTORY_TYPES:
+        if msg.mtype.to_directory:
             orig(msg)
 
     m.network._endpoints[1] = handler

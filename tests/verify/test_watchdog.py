@@ -6,7 +6,7 @@ import pytest
 from repro.common.config import VerifyConfig, small_config
 from repro.isa.instructions import Acquire, Compute, Load, Store
 from repro.sim.engine import SimulationTimeout
-from repro.sim.machine import Machine, _DIRECTORY_TYPES
+from repro.sim.machine import Machine
 from repro.verify.watchdog import DeadlockError, diagnostic_dump
 
 BLK = 0x4000
@@ -55,7 +55,7 @@ def test_wedged_transaction_dump_names_the_culprits():
         orig = m.network._endpoints[1]
 
         def handler(msg):
-            if msg.mtype in _DIRECTORY_TYPES:
+            if msg.mtype.to_directory:
                 orig(msg)   # the node may also host a directory agent
 
         m.network._endpoints[1] = handler
