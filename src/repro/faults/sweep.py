@@ -128,8 +128,7 @@ def fault_sweep(workload: str = "histogram", *,
     # retry policy); the per-cell fault fields are part of each point's
     # content key, so every (rate, config, fault-seed) cell commits and
     # resumes independently
-    outcomes = run_grid([p for _r, _l, p in grid], jobs=base.jobs,
-                        options=base)
+    outcomes = run_grid([p for _r, _l, p in grid], options=base)
     errors: dict[tuple, list[float]] = {}
     crashes: dict[tuple, int] = {}
     for (rate, label, _point), outcome in zip(grid, outcomes):
@@ -156,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
     import argparse
     import time
 
+    from repro.harness.cli import add_execution_flags, execution_options
+
     p = argparse.ArgumentParser(
         prog="repro.faults.sweep",
         description="Output error vs injected cache-fault rate, "
@@ -172,34 +173,15 @@ def main(argv: list[str] | None = None) -> int:
                    help="fault seeds averaged per table cell")
     p.add_argument("--seed", type=int, default=12345,
                    help="workload input seed (shared by every run)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the (rate x config x seed) "
-                        "grid (results identical to --jobs 1)")
-    p.add_argument("--store", metavar="DB", default=None,
-                   help="durable result store: commit every cell as it "
-                        "lands and resume a killed sweep from it "
-                        "(see repro.store)")
-    p.add_argument("--resume", default=True,
-                   action=argparse.BooleanOptionalAction,
-                   help="serve cells already committed to --store "
-                        "(--no-resume recomputes and overwrites)")
-    p.add_argument("--retries", type=int, default=0, metavar="K",
-                   help="re-executions granted to transiently failing "
-                        "cells (worker death, timeout); deterministic "
-                        "crashes never retry")
-    p.add_argument("--point-timeout", type=float, default=0.0,
-                   metavar="SEC",
-                   help="wall-clock budget per cell, seconds (0 = none)")
+    add_execution_flags(p)
     args = p.parse_args(argv)
+    options = RunOptions(**execution_options(p, args))
 
     t0 = time.time()
     result = fault_sweep(
         args.workload, num_threads=args.threads, scale=args.scale,
         rates=tuple(args.rates), seeds_per_cell=args.seeds_per_cell,
-        seed=args.seed,
-        options=RunOptions(jobs=args.jobs, store=args.store,
-                           resume=args.resume, point_retries=args.retries,
-                           point_timeout=args.point_timeout),
+        seed=args.seed, options=options,
     )
     print(result.render())
     print(f"[{time.time() - t0:.1f}s]")

@@ -22,7 +22,7 @@ from repro.harness.options import RunOptions
 from repro.noc.topologies import available_topologies
 from repro.obs.timeline import DEFAULT_TIMELINE_INTERVAL
 
-__all__ = ["main"]
+__all__ = ["main", "add_execution_flags", "execution_options"]
 
 _SWEEP_FIGS = ("fig7", "fig8", "fig9", "fig10", "fig11")
 # "protocols" (the cross-variant comparison) and "topology" (the
@@ -33,6 +33,49 @@ _EXTRA_FIGS = ("protocols", "topology")
 
 #: core counts the "topology" figure sweeps, clipped to --threads/--cores
 _TOPOLOGY_CORES = (24, 64, 128, 256)
+
+
+def add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """Add the flags that say how a sweep grid runs (worker count,
+    result store, resume, retries, per-point timeout); read them back
+    with :func:`execution_options`."""
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="fan independent sweep points out over N "
+                             "worker processes (results are bit-identical "
+                             "to --jobs 1; see repro.harness.parallel)")
+    parser.add_argument("--store", metavar="DB", default=None,
+                        help="durable result store (SQLite): commit every "
+                             "sweep point as it lands and serve committed "
+                             "points on re-runs; inspect with 'python -m "
+                             "repro.store' (see repro.store)")
+    parser.add_argument("--resume", default=True,
+                        action=argparse.BooleanOptionalAction,
+                        help="serve points already committed to --store "
+                             "(--no-resume recomputes and overwrites them)")
+    parser.add_argument("--retries", type=int, default=0, metavar="K",
+                        help="re-executions granted to transiently failing "
+                             "sweep points (worker death, wall-clock "
+                             "timeout); deterministic failures never retry")
+    parser.add_argument("--point-timeout", type=float, default=0.0,
+                        metavar="SEC",
+                        help="wall-clock budget per sweep point, in seconds "
+                             "(0 = unlimited); a blown budget is a "
+                             "transient failure, eligible for --retries")
+
+
+def execution_options(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> dict:
+    """The :class:`RunOptions` fields set by :func:`add_execution_flags`'
+    flags; an out-of-range value exits through ``parser.error``."""
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    if args.retries < 0:
+        parser.error(f"--retries must be >= 0, got {args.retries}")
+    if args.point_timeout < 0:
+        parser.error(f"--point-timeout must be >= 0, "
+                     f"got {args.point_timeout:g}")
+    return dict(jobs=args.jobs, store=args.store, resume=args.resume,
+                point_retries=args.retries, point_timeout=args.point_timeout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,34 +118,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(flips per million cycles; see repro.faults)")
     p.add_argument("--fault-seed", type=int, default=1,
                    help="PRNG seed for the fault injector")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan independent sweep points out over N worker "
-                        "processes (results are bit-identical to --jobs 1; "
-                        "see repro.harness.parallel)")
+    add_execution_flags(p)
     p.add_argument("--backend", choices=("serial", "batch"),
                    default="serial",
                    help="sweep execution backend: 'batch' advances "
                         "d/gi-swept points in lockstep over shared "
                         "representative runs (bit-identical results; see "
                         "repro.sim.batch)")
-    p.add_argument("--store", metavar="DB", default=None,
-                   help="durable result store (SQLite): commit every sweep "
-                        "point as it lands and serve committed points on "
-                        "re-runs; inspect with 'python -m repro.store' "
-                        "(see repro.store)")
-    p.add_argument("--resume", default=True,
-                   action=argparse.BooleanOptionalAction,
-                   help="serve points already committed to --store "
-                        "(--no-resume recomputes and overwrites them)")
-    p.add_argument("--retries", type=int, default=0, metavar="K",
-                   help="re-executions granted to transiently failing "
-                        "sweep points (worker death, wall-clock timeout); "
-                        "deterministic failures never retry")
-    p.add_argument("--point-timeout", type=float, default=0.0,
-                   metavar="SEC",
-                   help="wall-clock budget per sweep point, in seconds "
-                        "(0 = unlimited); a blown budget is a transient "
-                        "failure, eligible for --retries")
     p.add_argument("--trace-events", action="store_true",
                    help="record every coherence event of the sweep runs "
                         "(see repro.obs); export with --trace-out")
@@ -131,18 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         args.threads = args.cores
     if args.fault_rate < 0:
         parser.error(f"--fault-rate must be >= 0, got {args.fault_rate:g}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     if args.timeline_interval < 0:
         parser.error(f"--timeline-interval must be >= 0, "
                      f"got {args.timeline_interval}")
     if args.profile < 0:
         parser.error(f"--profile must be >= 0, got {args.profile}")
-    if args.retries < 0:
-        parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.point_timeout < 0:
-        parser.error(f"--point-timeout must be >= 0, "
-                     f"got {args.point_timeout:g}")
+    execution = execution_options(parser, args)
     if args.trace_out is not None and not (args.trace_events
                                            or args.timeline_interval):
         parser.error("--trace-out needs --trace-events and/or "
@@ -152,30 +168,15 @@ def main(argv: list[str] | None = None) -> int:
         interval = DEFAULT_TIMELINE_INTERVAL
     options = RunOptions(check_invariants=args.check_invariants,
                          fault_rate=args.fault_rate,
-                         fault_seed=args.fault_seed, jobs=args.jobs,
+                         fault_seed=args.fault_seed,
                          trace_events=args.trace_events,
                          timeline_interval=interval,
                          protocol=args.protocol,
                          topology=args.topology,
-                         store=args.store, resume=args.resume,
-                         point_retries=args.retries,
-                         point_timeout=args.point_timeout,
-                         backend=args.backend)
+                         backend=args.backend, **execution)
     wanted = _ALL if args.figure == "all" else (args.figure,)
     cache = F.SweepCache(num_threads=args.threads, scale=args.scale,
                          seed=args.seed, options=options)
-    sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
-    if (args.jobs > 1 or args.store) and sweep_wanted:
-        # warm the shared sweep across the pool before the per-figure
-        # drivers read it; fig7 alone only needs the d in {4, 8} legs
-        ds = (4, 8) if sweep_wanted == ["fig7"] else (0, 4, 8)
-        t0 = time.time()
-        cache.prefetch(ds=ds)
-        print(f"[sweep prefetch x{args.jobs} jobs: "
-              f"{time.time() - t0:.1f}s]\n")
-        store = cache.result_store()
-        if store is not None:
-            print(f"[store {args.store}: {store.stats.render()}]\n")
     if args.profile:
         # profile exactly the figure work (not argument parsing or the
         # export tail) so hot-path hunts don't need ad-hoc scripts
@@ -205,8 +206,27 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if crashed else 0
 
 
+def _prefetch_sweep(wanted, cache) -> None:
+    """Run the shared sweep the requested figures read as one grid, so
+    the options' jobs and backend see all of its points at once."""
+    sweep_wanted = [f for f in wanted if f in _SWEEP_FIGS]
+    if not sweep_wanted:
+        return
+    # fig7 alone only needs the d in {4, 8} legs
+    ds = (4, 8) if sweep_wanted == ["fig7"] else (0, 4, 8)
+    opts = cache.options
+    t0 = time.time()
+    cache.prefetch(ds=ds)
+    print(f"[sweep prefetch x{opts.jobs} jobs, {opts.backend} backend: "
+          f"{time.time() - t0:.1f}s]\n")
+    store = cache.result_store()
+    if store is not None:
+        print(f"[store {opts.store}: {store.stats.render()}]\n")
+
+
 def _run_figures(wanted, args, cache) -> int:
     """Run each requested figure; returns the crashed-figure count."""
+    _prefetch_sweep(wanted, cache)
     crashed = 0
     for name in wanted:
         t0 = time.time()
@@ -256,10 +276,10 @@ def _run_figure(name, args, cache):
         return F.fig11(cache)
     if name == "fig12":
         return F.fig12(num_threads=args.threads, seed=args.seed,
-                       jobs=args.jobs, options=cache.options)
+                       options=cache.options)
     if name == "protocols":
         return F.fig_protocols(num_threads=args.threads, seed=args.seed,
-                               jobs=args.jobs, options=cache.options)
+                               options=cache.options)
     if name == "topology":
         # default --topology sweeps every registered shape; an explicit
         # non-default choice restricts the grid to that one
@@ -268,7 +288,7 @@ def _run_figure(name, args, cache):
         if not counts:
             counts = (args.threads,)
         return F.fig_topology(topologies, counts, seed=args.seed,
-                              jobs=args.jobs, options=cache.options)
+                              options=cache.options)
     raise AssertionError(name)  # pragma: no cover - argparse restricts
 
 

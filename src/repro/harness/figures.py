@@ -17,9 +17,10 @@ from repro.analysis.ddistance import SimilarityProfile, machine_store_histogram
 from repro.common.config import default_config, table1_rows
 from repro.common.types import MessageClass
 from repro.harness.experiment import (
-    DEFAULT_SCALE, DEFAULT_THREADS, RunRow, experiment_config, run_workload,
+    DEFAULT_SCALE, DEFAULT_THREADS, RunRow, experiment_config,
 )
 from repro.harness.options import RunOptions
+from repro.harness.parallel import GridFailure, GridPoint, run_grid
 from repro.workloads.base import WorkloadResult
 from repro.workloads.registry import PAPER_WORKLOADS, create, table2_rows
 
@@ -51,40 +52,41 @@ def _fmt_table(headers: list[str], rows: list[list[str]]) -> str:
 class SweepCache:
     """Memoized (app, d) -> RunRow over the main evaluation sweep.
 
-    ``options.jobs > 1`` makes :meth:`prefetch` fan the uncached grid
-    points out over a process pool (:mod:`repro.harness.parallel`); the
-    cached rows are bit-identical to serial runs.
+    Every point runs through :func:`repro.harness.parallel.run_grid`
+    under ``options``, so ``options`` alone says how the sweep runs:
+    ``jobs`` fans :meth:`prefetch` out over a process pool,
+    ``backend="batch"`` advances the d-swept points in lockstep, and
+    ``store`` makes the sweep *durable* — every completed point commits
+    to a content-addressed result store (:mod:`repro.store`) and
+    committed points are served instead of re-run, so a killed figure
+    run restarted with ``resume`` picks up exactly where the committed
+    work left off.  Rows are bit-identical whichever way they ran.
 
-    ``options.store`` makes the sweep *durable*: every completed row
-    commits to a content-addressed result store
-    (:mod:`repro.store`), and both :meth:`row` and :meth:`prefetch`
-    serve committed points from the store instead of re-running them —
-    a killed figure run restarted with ``resume`` picks up exactly
-    where the committed work left off, bit-identically.
+    Each point runs at most once: its outcome, a row or a
+    :class:`~repro.harness.parallel.GridFailure`, is memoized, and
+    :meth:`row` raises a failed point as ``RuntimeError``.
     """
 
     def __init__(self, num_threads: int = DEFAULT_THREADS,
                  scale: float = DEFAULT_SCALE, seed: int = 12345,
-                 protocol: str | None = None,
                  options: RunOptions | None = None) -> None:
         self.num_threads = num_threads
         self.scale = scale
         self.seed = seed
         opts = options if options is not None else RunOptions()
-        self.protocol = protocol if protocol is not None else opts.protocol
         if opts.fault_rate:
             # faulty sweeps log-and-continue so every row completes
             opts = opts.replace(fault_policy="log")
         self.options = opts
-        self._rows: dict[tuple[str, int], RunRow] = {}
+        self._outcomes: dict[tuple[str, int], RunRow | GridFailure] = {}
         self._store = None      # lazily opened ResultStore handle
 
-    def _run_kwargs(self, app: str, d: int) -> dict:
-        return dict(
+    def _point(self, app: str, d: int) -> GridPoint:
+        return GridPoint(app, dict(
             d_distance=d, num_threads=self.num_threads,
-            scale=self.scale, seed=self.seed, protocol=self.protocol,
-            options=self.options,
-        )
+            scale=self.scale, seed=self.seed,
+            protocol=self.options.protocol, options=self.options,
+        ), label=f"{app} d={d}")
 
     def result_store(self):
         """The lazily opened durable result store (None when disabled)."""
@@ -96,56 +98,36 @@ class SweepCache:
     def row(self, app: str, d: int) -> RunRow:
         """Memoized run of (app, d); ``d=0`` is baseline MESI.
 
-        With a configured result store, a point already committed there
-        is served without re-running (unless ``options.resume`` is
-        off); a freshly run point commits before being returned.
+        A point not yet prefetched runs now; a failed point raises
+        ``RuntimeError`` naming the failure.
         """
         key = (app, d)
-        if key not in self._rows:
-            store = self.result_store()
-            if store is not None:
-                from repro.harness.parallel import GridPoint, run_point_stored
-                point = GridPoint(app, self._run_kwargs(app, d),
-                                  label=f"{app} d={d}")
-                self._rows[key] = run_point_stored(
-                    point, store, resume=self.options.resume)
-            else:
-                self._rows[key] = run_workload(app, **self._run_kwargs(app, d))
-        return self._rows[key]
+        if key not in self._outcomes:
+            self.prefetch(apps=(app,), ds=(d,))
+        outcome = self._outcomes[key]
+        if isinstance(outcome, GridFailure):
+            raise RuntimeError(outcome.render())
+        return outcome
 
-    def prefetch(self, apps=None, ds=_D_SWEEP, jobs: int | None = None) -> None:
-        """Run (and cache) the sweep up front, optionally in parallel.
+    def prefetch(self, apps=None, ds=_D_SWEEP) -> None:
+        """Run (and memoize) every not-yet-run point of the sweep as one
+        grid, so ``options.jobs`` and ``options.backend`` see all of it.
 
-        A grid point that fails in the parallel path is simply left
-        uncached: the next :meth:`row` call reruns it serially and
-        raises its real exception, exactly as the serial path would.
-        With a configured result store every completed point commits as
-        it lands, so a killed prefetch resumes from the committed rows.
+        A failing point does not stop its siblings; :meth:`row` raises
+        it.
         """
-        jobs = self.options.jobs if jobs is None else jobs
         keys = [(app, d) for app in (apps or _APPS) for d in ds
-                if (app, d) not in self._rows]
-        if (jobs > 1 or self.options.store) and len(keys) > 1:
-            from repro.harness.parallel import (
-                GridFailure, GridPoint, run_grid,
-            )
-            points = [
-                GridPoint(app, self._run_kwargs(app, d), label=f"{app} d={d}")
-                for app, d in keys
-            ]
-            outcomes = run_grid(points, jobs=jobs,
-                                store=self.result_store(),
-                                options=self.options)
-            for key, outcome in zip(keys, outcomes):
-                if not isinstance(outcome, GridFailure):
-                    self._rows[key] = outcome
-            return
-        for app, d in keys:
-            self.row(app, d)
+                if (app, d) not in self._outcomes]
+        if keys:
+            outcomes = run_grid([self._point(app, d) for app, d in keys],
+                                options=self.options,
+                                store=self.result_store())
+            self._outcomes.update(zip(keys, outcomes))
 
     def rows(self) -> dict[tuple[str, int], RunRow]:
-        """Snapshot of every cached (app, d) -> RunRow (for exporters)."""
-        return dict(self._rows)
+        """Every successfully run (app, d) -> RunRow (for exporters)."""
+        return {key: outcome for key, outcome in self._outcomes.items()
+                if not isinstance(outcome, GridFailure)}
 
 
 # ---------------------------------------------------------------------
@@ -506,14 +488,13 @@ class Fig12Result:
 
 
 def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
-          n_points: int = 4096, seed: int = 12345, jobs: int = 1,
+          n_points: int = 4096, seed: int = 12345,
           options: RunOptions | None = None) -> Fig12Result:
     """GI-timeout sensitivity sweep on the Listing-1 microbenchmark.
 
-    ``options`` threads the durability knobs (result store, resume,
-    per-point retry/timeout) into the underlying grid run.
+    ``options`` says how the grid runs (jobs, backend, result store,
+    per-point retry/timeout; see :func:`repro.harness.parallel.run_grid`).
     """
-    from repro.harness.parallel import GridFailure, GridPoint, run_grid
     extra = {"options": options} if options is not None else {}
     points = [
         GridPoint("bad_dot_product",
@@ -524,8 +505,7 @@ def fig12(timeouts=(128, 512, 1024), num_threads: int = DEFAULT_THREADS,
         for timeout in timeouts
     ]
     gi_pct, err = [], []
-    for point, row in zip(points, run_grid(points, jobs=jobs,
-                                           options=options)):
+    for row in run_grid(points, options=options):
         if isinstance(row, GridFailure):
             raise RuntimeError(f"fig12 point failed: {row.render()}")
         gi_pct.append(row.gi_serviced_pct)
@@ -563,7 +543,7 @@ class FigProtocolsResult:
 
 def fig_protocols(protocols=None, *, d_distance: int = 4,
                   num_threads: int = DEFAULT_THREADS, n_points: int = 4096,
-                  seed: int = 12345, jobs: int = 1,
+                  seed: int = 12345,
                   options: RunOptions | None = None) -> FigProtocolsResult:
     """Every registered protocol variant on the Listing-1 microbenchmark.
 
@@ -574,7 +554,7 @@ def fig_protocols(protocols=None, *, d_distance: int = 4,
 
     result = sweep_protocols(
         "bad_dot_product", protocols, d_distance=d_distance,
-        num_threads=num_threads, seed=seed, jobs=jobs, options=options,
+        num_threads=num_threads, seed=seed, options=options,
         n_points=n_points, max_value=3,
     )
     failed = result.failures()
@@ -617,7 +597,7 @@ class FigTopologyResult:
 
 def fig_topology(topologies=None, core_counts=(24, 64, 128, 256), *,
                  d_distance: int = 4, gi_timeout: int = 1024,
-                 n_points: int = 4096, seed: int = 12345, jobs: int = 1,
+                 n_points: int = 4096, seed: int = 12345,
                  options: RunOptions | None = None) -> FigTopologyResult:
     """Core count x topology sweep on the Listing-1 microbenchmark.
 
@@ -631,7 +611,7 @@ def fig_topology(topologies=None, core_counts=(24, 64, 128, 256), *,
 
     result = sweep_topology_scale(
         "bad_dot_product", topologies, core_counts, d_distance=d_distance,
-        gi_timeout=gi_timeout, seed=seed, jobs=jobs, options=options,
+        gi_timeout=gi_timeout, seed=seed, options=options,
         n_points=n_points, max_value=3,
     )
     failed = result.failures()

@@ -1,11 +1,15 @@
 """One value object for every run-shaping knob the harness accepts.
 
-PR 1 and PR 2 threaded ``check_invariants``/``fault_rate``/``fault_seed``/
-``fault_policy``/``jobs`` by hand through every harness entry point, and
-the observability layer would have added three more.  :class:`RunOptions`
-consolidates them: ``experiment_config``, ``run_workload``, ``run_pair``,
-``SweepCache``, ``faults.sweep`` and the CLI all take one frozen options
-value.
+:class:`RunOptions` holds two kinds of knob.  The run-shaping ones
+(invariant checks, fault injection, protocol, topology, tracing)
+configure each simulated run; ``experiment_config``, ``run_workload``,
+``run_pair``, ``SweepCache``, the ``sweep_*`` helpers, ``faults.sweep``
+and the CLI all take them as one frozen value.  The execution ones
+(``jobs``, ``backend``, ``store``/``resume``, ``point_timeout`` /
+``point_retries`` / ``point_backoff``) say how a grid runs; they are
+read by :func:`repro.harness.parallel.run_grid`, the one way the
+harness runs a grid, and no harness entry point takes them as
+keywords of its own.
 """
 from __future__ import annotations
 

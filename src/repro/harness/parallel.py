@@ -11,13 +11,9 @@ to a serial run** (see ``tests/harness/test_parallel.py``).
 Design points:
 
 * *Chunked job queue* — jobs are submitted in contiguous chunks
-  (``chunk_size``, default ~4 chunks per worker) so per-job IPC overhead
-  amortizes while stragglers still rebalance across the pool.
-* *Per-job seed derivation* — grid points that do not pin their own
-  ``seed`` get one derived deterministically from ``(base_seed, index)``
-  via :func:`derive_seed` (a keyed blake2b hash, *not* Python's
-  process-salted ``hash()``), so results never depend on worker
-  scheduling or ``PYTHONHASHSEED``.
+  (``fan_out``'s ``chunk_size``, default ~4 chunks per worker) so
+  per-job IPC overhead amortizes while stragglers still rebalance
+  across the pool.
 * *Crash isolation with a failure taxonomy* — a grid point that raises
   becomes a :class:`GridFailure` row at its index; sibling points
   complete normally.  Failures are classified **permanent**
@@ -47,8 +43,12 @@ Design points:
   and are returned in input order, so callers can ``zip`` them with
   their parameter values exactly as in the serial code path.
 
-``jobs=1`` executes inline in the calling process (no pool, no pickling)
-and is the reference path the parallel path is tested against.
+:func:`run_grid` is the one way the harness runs a grid, and its
+:class:`~repro.harness.options.RunOptions` the one place that says how:
+``jobs`` (1 executes inline in the calling process — no pool, no
+pickling — and is the reference path the parallel path is tested
+against), ``backend``, the ``store`` path with ``resume``, and the
+per-point retry/timeout policy.
 """
 from __future__ import annotations
 
@@ -85,13 +85,13 @@ __all__ = [
 _SEED_SPACE = 1 << 31
 
 
-def derive_seed(base_seed: int, *key: Any) -> int:
-    """Deterministic per-job seed: blake2b over ``(base_seed, *key)``.
+def derive_seed(base: int, *key: Any) -> int:
+    """Deterministic per-job seed: blake2b over ``(base, *key)``.
 
     Stable across processes, platforms and Python invocations —
     deliberately *not* built on ``hash()``, which is salted per process.
     """
-    text = repr((int(base_seed),) + tuple(key)).encode("utf-8")
+    text = repr((int(base),) + tuple(key)).encode("utf-8")
     digest = hashlib.blake2b(text, digest_size=8).digest()
     return int.from_bytes(digest, "big") % _SEED_SPACE
 
@@ -101,9 +101,8 @@ class GridPoint:
     """One unit of sweep work: a workload plus its run kwargs.
 
     ``kwargs`` are passed verbatim to
-    :func:`repro.harness.experiment.run_workload`; a missing ``seed`` is
-    filled in by :func:`run_grid` from its ``base_seed`` (when given).
-    ``label`` is free-form context echoed into failure reports.
+    :func:`repro.harness.experiment.run_workload`; ``label`` is
+    free-form context echoed into failure reports.
     """
 
     workload: str
@@ -737,92 +736,45 @@ def _commit(store, key: str, point: GridPoint, outcome: Any) -> None:
                   protocol=protocol, seed=seed)
 
 
-def run_point_stored(point: GridPoint, store: Any, *,
-                     resume: bool = True) -> RunRow:
-    """Run one grid point through a result store, serially.
-
-    Serves a committed ``RunRow`` when ``resume`` allows; otherwise runs
-    the point and commits the outcome.  Unlike :func:`run_grid`, an
-    exception **propagates** to the caller (after committing a
-    permanent-failure record) — this is the durable twin of calling
-    :func:`~repro.harness.experiment.run_workload` directly, used by the
-    serial figure path.  A committed permanent failure is *not* served:
-    the point re-runs so the caller sees the real exception.
-    """
-    from repro.store import point_key
-
-    key = point_key(point.workload, point.kwargs)
-    if resume and not _point_traced(point):
-        hit = store.get(key)
-        if isinstance(hit, RunRow):
-            return hit
-    try:
-        row = run_workload(point.workload, **dict(point.kwargs))
-    except Exception as exc:
-        failure = _failure_from(exc, 0, point, tb=_traceback_tail())
-        if failure.permanent:
-            _commit(store, key, point, failure)
-        raise
-    _commit(store, key, point, row)
-    return row
-
-
-def run_grid(points: Sequence[GridPoint], *, jobs: int = 1,
-             chunk_size: int | None = None,
-             base_seed: int | None = None,
+def run_grid(points: Sequence[GridPoint], *,
              options: RunOptions | None = None,
-             store: Any | None = None,
-             retry: RetryPolicy | None = None
-             ) -> list[RunRow | GridFailure]:
+             store: Any | None = None) -> list[RunRow | GridFailure]:
     """Run a grid of workload points; one ``RunRow`` (or ``GridFailure``)
     per point, in input order.
 
-    When ``base_seed`` is given, any point whose kwargs omit ``seed``
-    receives ``derive_seed(base_seed, index)`` — the same seed whether
-    the grid runs serially or across a pool.
-
-    ``options`` supplies the durability/robustness knobs: a
-    ``store`` path turns on the content-addressed result store
+    ``options`` says how the grid executes: ``jobs`` worker processes,
+    the ``backend``, the ``point_retries`` / ``point_timeout`` /
+    ``point_backoff`` fields as the :class:`RetryPolicy`, and a
+    ``store`` path that turns on the content-addressed result store
     (committed points are served without re-running when
     ``options.resume`` is true, and every finalized point commits
-    atomically as it lands), and the ``point_retries`` /
-    ``point_timeout`` / ``point_backoff`` fields become the
-    :class:`RetryPolicy`.  Explicit ``store=`` (an open
-    :class:`~repro.store.ResultStore`) and ``retry=`` arguments
-    override the options-derived ones.  Resumed and cold grids are
-    bit-identical (see ``tests/store/test_resume.py``).
+    atomically as it lands).  An explicit ``store=`` (an open
+    :class:`~repro.store.ResultStore`) overrides the options path.
+    Resumed and cold grids are bit-identical (see
+    ``tests/store/test_resume.py``).
     """
-    resolved: list[GridPoint] = []
-    for index, point in enumerate(points):
-        kwargs = dict(point.kwargs)
-        if base_seed is not None and "seed" not in kwargs:
-            kwargs["seed"] = derive_seed(base_seed, index)
-        resolved.append(GridPoint(point.workload, kwargs, point.label))
-
-    if retry is None:
-        retry = retry_from_options(options)
-    own_store = False
-    if store is None and options is not None and options.store:
+    opts = options if options is not None else RunOptions()
+    # kwargs may arrive as any mapping or pairs; workers and store keys
+    # take a plain dict
+    points = [GridPoint(p.workload, dict(p.kwargs), p.label) for p in points]
+    own_store = store is None and bool(opts.store)
+    if own_store:
         from repro.store import open_store
 
-        store = open_store(options.store)
-        own_store = True
-    resume = options.resume if options is not None else True
-    backend = options.backend if options is not None else "serial"
-
+        store = open_store(opts.store)
     try:
-        return _run_grid_stored(resolved, jobs=jobs, chunk_size=chunk_size,
-                                store=store, resume=resume, retry=retry,
-                                backend=backend)
+        return _run_grid_stored(points, jobs=opts.jobs, store=store,
+                                resume=opts.resume,
+                                retry=retry_from_options(opts),
+                                backend=opts.backend)
     finally:
-        if own_store and store is not None:
+        if own_store:
             store.close()
 
 
-def _run_grid_stored(resolved: list[GridPoint], *, jobs: int,
-                     chunk_size: int | None, store: Any | None,
-                     resume: bool, retry: RetryPolicy | None,
-                     backend: str = "serial"
+def _run_grid_stored(points: list[GridPoint], *, jobs: int,
+                     store: Any | None, resume: bool,
+                     retry: RetryPolicy | None, backend: str
                      ) -> list[RunRow | GridFailure]:
     """Grid execution with optional store lookup/commit around it.
 
@@ -840,19 +792,18 @@ def _run_grid_stored(resolved: list[GridPoint], *, jobs: int,
             return batch_fan_out(subset, retry=retry, on_result=on_result)
     else:
         def execute(subset, on_result=None):
-            return fan_out(_run_point, subset, jobs=jobs,
-                           chunk_size=chunk_size, retry=retry,
+            return fan_out(_run_point, subset, jobs=jobs, retry=retry,
                            on_result=on_result)
 
     if store is None:
-        return execute(resolved)
+        return execute(points)
 
     from repro.store import point_key
 
-    keys = [point_key(p.workload, p.kwargs) for p in resolved]
-    results: list[Any] = [None] * len(resolved)
+    keys = [point_key(p.workload, p.kwargs) for p in points]
+    results: list[Any] = [None] * len(points)
     pending: list[int] = []
-    for i, point in enumerate(resolved):
+    for i, point in enumerate(points):
         hit = None
         if resume and not _point_traced(point):
             hit = store.get(keys[i])
@@ -864,11 +815,11 @@ def _run_grid_stored(resolved: list[GridPoint], *, jobs: int,
             results[i] = hit
 
     if pending:
-        subset = [resolved[i] for i in pending]
+        subset = [points[i] for i in pending]
 
         def commit(local_index: int, outcome: Any) -> None:
             i = pending[local_index]
-            _commit(store, keys[i], resolved[i], outcome)
+            _commit(store, keys[i], points[i], outcome)
 
         outcomes = execute(subset, on_result=commit)
         for local_index, outcome in enumerate(outcomes):

@@ -4,19 +4,17 @@ Library-level building blocks for sensitivity studies beyond the fixed
 figure set: sweep thread counts, d-distances, or GI timeouts over any
 registered workload and get back aligned result rows.
 
-Every sweep accepts ``jobs=N`` to fan its grid points out over a process
-pool (see :mod:`repro.harness.parallel`); results are aggregated in
-parameter order and are bit-identical to a serial run.  A point that
-raises — e.g. a configuration that genuinely deadlocks — becomes a
-:class:`~repro.harness.parallel.GridFailure` row; sibling points still
-complete.
-
-Passing ``options=RunOptions(store=...)`` makes the sweep durable:
-every completed point commits to a content-addressed result store and a
-re-run (or a crashed sweep restarted with ``resume``) serves committed
-points from the store instead of recomputing them, with bit-identical
-results.  ``point_retries``/``point_timeout`` in the same options add
-bounded retry with backoff and per-point wall-clock budgets.
+Every sweep runs its grid through
+:func:`~repro.harness.parallel.run_grid`, and its ``options``
+(:class:`RunOptions`) say how: ``jobs=N`` fans the points out over a
+process pool, ``backend="batch"`` advances swept points in lockstep,
+``store=...`` makes the sweep durable (committed points are served on a
+re-run or a ``resume``), and ``point_retries``/``point_timeout`` add
+bounded retry with backoff and per-point wall-clock budgets.  Results
+are aggregated in parameter order and are bit-identical to a serial
+run.  A point that raises — e.g. a configuration that genuinely
+deadlocks — becomes a :class:`~repro.harness.parallel.GridFailure` row;
+sibling points still complete.
 """
 from __future__ import annotations
 
@@ -96,24 +94,20 @@ class SweepResult:
 
 
 def _sweep(parameter: str, values: Sequence, points: list[GridPoint], *,
-           jobs: int, options: RunOptions | None) -> SweepResult:
+           options: RunOptions | None) -> SweepResult:
     if options is not None:
         points = [
             GridPoint(p.workload, {"options": options, **p.kwargs}, p.label)
             for p in points
         ]
-        if jobs == 1:
-            jobs = options.jobs
-    # options also carries the durability/robustness knobs: the result
-    # store path and the per-point retry/timeout policy
-    rows = run_grid(points, jobs=jobs, options=options)
+    rows = run_grid(points, options=options)
     return SweepResult(parameter, tuple(values), tuple(rows))
 
 
 def sweep_d_distance(workload: str, d_values: Sequence[int] = (0, 2, 4, 8, 16),
                      *, num_threads: int = DEFAULT_THREADS,
                      scale: float = DEFAULT_SCALE, seed: int = 12345,
-                     jobs: int = 1, options: RunOptions | None = None,
+                     options: RunOptions | None = None,
                      **kwargs) -> SweepResult:
     """Accuracy/benefit trade-off curve over the d-distance knob
     (``d=0`` runs baseline MESI)."""
@@ -123,13 +117,12 @@ def sweep_d_distance(workload: str, d_values: Sequence[int] = (0, 2, 4, 8, 16),
                   label=f"d_distance={d}")
         for d in d_values
     ]
-    return _sweep("d_distance", d_values, points, jobs=jobs, options=options)
+    return _sweep("d_distance", d_values, points, options=options)
 
 
 def sweep_threads(workload: str, thread_counts: Sequence[int] = (1, 2, 4, 8),
                   *, d_distance: int = 0, scale: float = DEFAULT_SCALE,
-                  seed: int = 12345, jobs: int = 1,
-                  options: RunOptions | None = None,
+                  seed: int = 12345, options: RunOptions | None = None,
                   **kwargs) -> SweepResult:
     """Scalability curve (the Fig. 1 methodology, for any workload)."""
     points = [
@@ -138,8 +131,7 @@ def sweep_threads(workload: str, thread_counts: Sequence[int] = (1, 2, 4, 8),
                   label=f"threads={t}")
         for t in thread_counts
     ]
-    return _sweep("threads", thread_counts, points, jobs=jobs,
-                  options=options)
+    return _sweep("threads", thread_counts, points, options=options)
 
 
 def sweep_gi_timeout(workload: str,
@@ -147,7 +139,7 @@ def sweep_gi_timeout(workload: str,
                      *, d_distance: int = 4,
                      num_threads: int = DEFAULT_THREADS,
                      scale: float = DEFAULT_SCALE, seed: int = 12345,
-                     jobs: int = 1, options: RunOptions | None = None,
+                     options: RunOptions | None = None,
                      **kwargs) -> SweepResult:
     """The Fig. 12 methodology, for any workload."""
     points = [
@@ -157,7 +149,7 @@ def sweep_gi_timeout(workload: str,
                   label=f"gi_timeout={t}")
         for t in timeouts
     ]
-    return _sweep("gi_timeout", timeouts, points, jobs=jobs, options=options)
+    return _sweep("gi_timeout", timeouts, points, options=options)
 
 
 def sweep_protocols(workload: str = "bad_dot_product",
@@ -165,7 +157,7 @@ def sweep_protocols(workload: str = "bad_dot_product",
                     *, d_distance: int = 4,
                     num_threads: int = DEFAULT_THREADS,
                     scale: float = DEFAULT_SCALE, seed: int = 12345,
-                    jobs: int = 1, options: RunOptions | None = None,
+                    options: RunOptions | None = None,
                     **kwargs) -> SweepResult:
     """One run per registered protocol variant on the same workload.
 
@@ -185,8 +177,7 @@ def sweep_protocols(workload: str = "bad_dot_product",
                   label=f"protocol={p}")
         for p in protocols
     ]
-    return _sweep("protocol", tuple(protocols), points, jobs=jobs,
-                  options=options)
+    return _sweep("protocol", tuple(protocols), points, options=options)
 
 
 def sweep_topology_scale(workload: str = "bad_dot_product",
@@ -194,7 +185,7 @@ def sweep_topology_scale(workload: str = "bad_dot_product",
                          core_counts: Sequence[int] = (24, 64, 128, 256),
                          *, d_distance: int = 4, gi_timeout: int = 1024,
                          scale: float = DEFAULT_SCALE, seed: int = 12345,
-                         jobs: int = 1, options: RunOptions | None = None,
+                         options: RunOptions | None = None,
                          **kwargs) -> SweepResult:
     """One run per (topology, core count) — the ``fig_topology`` grid.
 
@@ -217,5 +208,4 @@ def sweep_topology_scale(workload: str = "bad_dot_product",
                   label=f"topology={t} cores={c}")
         for t, c in values
     ]
-    return _sweep("topology_scale", tuple(values), points, jobs=jobs,
-                  options=options)
+    return _sweep("topology_scale", tuple(values), points, options=options)

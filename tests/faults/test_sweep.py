@@ -46,3 +46,11 @@ def test_cli_prints_table(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "flips/Mcycle" in out
+
+
+@pytest.mark.parametrize("flag,value", [("--jobs", "0"),
+                                        ("--retries", "-1"),
+                                        ("--point-timeout", "-1")])
+def test_cli_rejects_out_of_range_execution_flags(flag, value):
+    with pytest.raises(SystemExit):
+        main([flag, value, "--rates", "0"])

@@ -88,7 +88,8 @@ def test_batch_matches_serial_gi_sweep():
 def test_batch_matches_jobs2():
     """Close the serial/jobs/batch triangle directly."""
     points = _points("bad_dot_product", ds=(0, 1, 4, 8))
-    assert run_grid(points, options=BATCH) == run_grid(points, jobs=2)
+    assert run_grid(points, options=BATCH) == run_grid(
+        points, options=RunOptions(jobs=2))
 
 
 def test_store_keys_identical_across_backends(tmp_path):

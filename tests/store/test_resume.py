@@ -39,10 +39,10 @@ def _grid(d_values=(0, 2, 4, 8)):
 class TestResume:
     def test_resumed_grid_bit_identical_to_cold(self, tmp_path):
         points = _grid()
-        cold = run_grid(points, jobs=1)
+        cold = run_grid(points)
         with ResultStore(tmp_path / "s.db") as store:
-            first = run_grid(points, jobs=1, store=store)
-            resumed = run_grid(points, jobs=1, store=store)
+            first = run_grid(points, store=store)
+            resumed = run_grid(points, store=store)
             assert store.stats.hits == len(points)
         assert cold == first == resumed
         assert all(isinstance(r, RunRow) for r in resumed)
@@ -51,12 +51,12 @@ class TestResume:
         import repro.harness.parallel as par
         points = _grid((0, 4))
         with ResultStore(tmp_path / "s.db") as store:
-            run_grid(points, jobs=1, store=store)
+            run_grid(points, store=store)
 
             def boom(name, **kwargs):
                 raise AssertionError("resume must not re-run points")
             monkeypatch.setattr(par, "run_workload", boom)
-            resumed = run_grid(points, jobs=1, store=store)
+            resumed = run_grid(points, store=store)
         assert all(isinstance(r, RunRow) for r in resumed)
 
     def test_no_resume_recomputes_and_overwrites(self, tmp_path,
@@ -72,8 +72,8 @@ class TestResume:
         monkeypatch.setattr(par, "run_workload", counting)
         from repro.harness.options import RunOptions
         with ResultStore(tmp_path / "s.db") as store:
-            run_grid(points, jobs=1, store=store)
-            run_grid(points, jobs=1, store=store,
+            run_grid(points, store=store)
+            run_grid(points, store=store,
                      options=RunOptions(resume=False))
         assert len(calls) == 2 * len(points)
 
@@ -99,8 +99,8 @@ class TestResume:
             return real(name, **kwargs)
         monkeypatch.setattr(par, "run_workload", counting)
         with ResultStore(tmp_path / "s.db") as store:
-            run_grid(points[:1], jobs=1, store=store)
-            out = run_grid(points, jobs=1, store=store)
+            run_grid(points[:1], store=store)
+            out = run_grid(points, store=store)
         assert calls == [0, 2, 4]  # d=0 once cold, then only the gap
         assert all(isinstance(r, RunRow) for r in out)
 
@@ -121,8 +121,8 @@ class TestFailureCommits:
         points = [GridPoint("bad_dot_product", dict(d_distance=4, seed=1),
                             label="wedged")]
         with ResultStore(tmp_path / "s.db") as store:
-            [first] = run_grid(points, jobs=1, store=store)
-            [second] = run_grid(points, jobs=1, store=store)
+            [first] = run_grid(points, store=store)
+            [second] = run_grid(points, store=store)
         assert isinstance(first, GridFailure) and first.permanent
         assert isinstance(second, GridFailure) and second.permanent
         assert second.error_type == "DeadlockError"
@@ -138,8 +138,8 @@ class TestFailureCommits:
         monkeypatch.setattr(par, "run_workload", flaky)
         points = [GridPoint("bad_dot_product", dict(d_distance=4, seed=1))]
         with ResultStore(tmp_path / "s.db") as store:
-            [first] = run_grid(points, jobs=1, store=store)
-            [second] = run_grid(points, jobs=1, store=store)
+            [first] = run_grid(points, store=store)
+            [second] = run_grid(points, store=store)
             assert len(store) == 0  # nothing durable: resume retries
         assert not first.permanent and not second.permanent
         assert len(calls) == 2
@@ -155,8 +155,8 @@ class TestFailureCommits:
             return real(name, **kwargs)
         monkeypatch.setattr(par, "run_workload", dispatch)
         with ResultStore(tmp_path / "s.db") as store:
-            run_grid(_grid((4,)), jobs=1, store=store)   # commit at index 0
-            out = run_grid(_grid((0, 2, 4)), jobs=1, store=store)
+            run_grid(_grid((4,)), store=store)   # commit at index 0
+            out = run_grid(_grid((0, 2, 4)), store=store)
         assert isinstance(out[2], GridFailure)
         assert out[2].index == 2  # reindexed to this grid, not the old one
 
@@ -188,7 +188,7 @@ _KILL_SCRIPT = textwrap.dedent("""
                   label=f"d={d}")
         for d in (0, 2, 4, 8)
     ]
-    run_grid(points, jobs=1, store=ResultStore(db))
+    run_grid(points, store=ResultStore(db))
     raise SystemExit("unreachable: the kill must have fired")
 """)
 
@@ -219,14 +219,14 @@ class TestKillAndResume:
         par.run_workload = counting
         try:
             with ResultStore(db) as store:
-                resumed = run_grid(points, jobs=1, store=store)
+                resumed = run_grid(points, store=store)
                 assert store.stats.hits == 2
         finally:
             par.run_workload = real
         assert sorted(calls) == [4, 8]  # d=0, d=2 committed pre-kill
 
         # ... and the merged rows are bit-identical to a cold serial run
-        cold = run_grid(points, jobs=1)
+        cold = run_grid(points)
         assert resumed == cold
         assert all(isinstance(r, RunRow) for r in resumed)
 
