@@ -37,6 +37,7 @@ so an L1 without a bus does no emission check at all.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable
 
 from repro.cache.mshr import MshrEntry, MshrFile, MshrKind
@@ -101,6 +102,9 @@ class L1Controller:
         self._update_upgrades = self.policy.update_on_upgrade
         self._gs_fallback_getx = self.policy.gs_fallback_is_getx(self.gw)
         self.array = CacheArray(cfg.l1)
+        #: alias of the array's tag -> line dict (kept valid across
+        #: ``restore``, which refills the same dict)
+        self._lines = self.array.lines
         self.mshrs = MshrFile(capacity=8)
         self.scribe = ScribeUnit(
             d_distance=cfg.ghostwriter.d_distance,
@@ -157,6 +161,9 @@ class L1Controller:
         return (addr & self._off_mask) >> self._word_shift
 
     def _set_state(self, line: CacheLine, new: CoherenceState, why: str) -> None:
+        if self.transition_hook is None and self.bus is None:
+            line.state = new
+            return
         old = line.state
         line.state = new
         if old is not new and old is not None:
@@ -209,14 +216,20 @@ class L1Controller:
         cores issue at most one outstanding access, which the MSHR layout
         relies on.
 
-        A hit is this one frame plus one :meth:`CacheArray.lookup`.  The
-        obs ``ACCESS`` event is not emitted here: :meth:`attach_bus`
-        shadows this method with :meth:`_access_with_event` on an
-        instance that has a bus, so a run without one pays no check.
+        A hit is this one frame: the tag lookup is one probe of the
+        array's tag dict, and the PLRU touch is the line's own path
+        writes.  The obs ``ACCESS`` event is not emitted here:
+        :meth:`attach_bus` shadows this method with
+        :meth:`_access_with_event` on an instance that has a bus, so a
+        run without one pays no check.
         """
         block = addr & self._block_mask
         off = (addr & self._off_mask) >> self._word_shift
-        line = self.array.lookup(block)
+        line = self._lines.get(block)
+        if line is not None:
+            bits = line.plru_bits
+            for node, bit in line.plru_path:
+                bits[node] = bit
         st = self._c
 
         if atype is _LOAD:
@@ -261,13 +274,15 @@ class L1Controller:
 
         if state is _S.M:
             words[off] = value
-            self._commit(line)
+            if self.commit_hook is not None:
+                self.commit_hook(block, words)
             st["store_hits"] += 1
             return True, None
         if state is _S.E:
             words[off] = value
             self._set_state(line, _S.M, "store hit on E")
-            self._commit(line)
+            if self.commit_hook is not None:
+                self.commit_hook(block, words)
             st["store_hits"] += 1
             return True, None
         if state is _S.GS or state is _S.GI:
@@ -407,11 +422,12 @@ class L1Controller:
                     "wb-pending" if block in self._wb_buffer else "mshr-full",
                 ))
             self.engine.schedule(
-                _RETRY_DELAY, lambda: self._start_miss(atype, addr, value, on_done)
+                _RETRY_DELAY,
+                partial(self._start_miss, atype, addr, value, on_done),
             )
             return
 
-        line = self.array.lookup(block, touch=False)
+        line = self._lines.get(block)
         if line is None:
             line = self.array.find_free_or_victim(
                 block, lambda ln: ln.state is not None and ln.state.stable
@@ -428,7 +444,7 @@ class L1Controller:
                     ))
                 self.engine.schedule(
                     _RETRY_DELAY,
-                    lambda: self._start_miss(atype, addr, value, on_done),
+                    partial(self._start_miss, atype, addr, value, on_done),
                 )
                 return
             if line.valid:
@@ -558,7 +574,7 @@ class L1Controller:
         blocks, self._gi_blocks = self._gi_blocks, set()
         flashed = 0
         for block in blocks:
-            line = self.array.lookup(block, touch=False)
+            line = self._lines.get(block)
             if line is not None and line.state is _S.GI:
                 self._set_state(line, _S.I, "GI timeout")
                 flashed += 1
@@ -597,7 +613,7 @@ class L1Controller:
         entry = self.mshrs.get(block)
         if entry is None:
             raise ProtocolError(f"fill without MSHR: {msg}")
-        line = self.array.lookup(block, touch=False)
+        line = self._lines.get(block)
         if line is None or not line.state.transient:
             raise ProtocolError(f"fill into non-transient line: {msg}")
         line.words = msg.words.copy()
@@ -627,8 +643,7 @@ class L1Controller:
         c["miss_latency_cycles"] = (c.get("miss_latency_cycles", 0)
                                     + self.engine.now - entry.issued_at)
         self._run_deferred(line, entry)
-        cb = entry.on_complete
-        self.engine.schedule(0, lambda: cb(result))
+        self.engine.schedule(0, partial(entry.on_complete, result))
 
     def _on_ack(self, msg: Message) -> None:
         c = self._c
@@ -637,7 +652,7 @@ class L1Controller:
         if entry is not None:
             if entry.kind is not MshrKind.UPGRADE:
                 raise ProtocolError(f"unexpected ACK for {entry}")
-            line = self.array.lookup(block, touch=False)
+            line = self._lines.get(block)
             if line is None or line.state is not _S.SM_D:
                 raise ProtocolError(f"ACK without SM_D line: {msg}")
             off = self._word_off(entry.addr)
@@ -657,8 +672,7 @@ class L1Controller:
             c["miss_latency_cycles"] = (c.get("miss_latency_cycles", 0)
                                         + self.engine.now - entry.issued_at)
             self._run_deferred(line, entry)
-            cb = entry.on_complete
-            self.engine.schedule(0, lambda: cb(None))
+            self.engine.schedule(0, partial(entry.on_complete, None))
             return
         # otherwise: directory acking one of our PUTs
         queue = self._wb_buffer.get(block)
@@ -671,7 +685,7 @@ class L1Controller:
     # -- invalidations ----------------------------------------------------
     def _on_inv(self, msg: Message) -> None:
         block = msg.block_addr
-        line = self.array.lookup(block, touch=False)
+        line = self._lines.get(block)
         st = self._c
         if line is None or line.state is _S.I:
             # our PUTS/eviction raced the invalidation: ack unconditionally
@@ -753,7 +767,7 @@ class L1Controller:
         post-update data — but still acknowledges it.
         """
         block = msg.block_addr
-        line = self.array.lookup(block, touch=False)
+        line = self._lines.get(block)
         st = self._c
         state = None if line is None else line.state
         if state is _S.S:
@@ -784,7 +798,7 @@ class L1Controller:
     def _on_fwd(self, msg: Message) -> None:
         c = self._c
         block = msg.block_addr
-        line = self.array.lookup(block, touch=False)
+        line = self._lines.get(block)
         if line is not None and line.state is _S.SM_D:
             # MOESI: we are the O owner and our UPGRADE is queued at the
             # home *behind* the forwarded request (per-channel FIFO rules
@@ -906,12 +920,12 @@ class L1Controller:
     # ------------------------------------------------------------------
     def state_of(self, addr: int) -> CoherenceState | None:
         """Coherence state of the block holding ``addr`` (None if absent)."""
-        line = self.array.lookup(self._block_base(addr), touch=False)
+        line = self._lines.get(self._block_base(addr))
         return None if line is None else line.state
 
     def peek_word(self, addr: int) -> int | None:
         """Functional value of ``addr`` in this cache, without side effects."""
-        line = self.array.lookup(self._block_base(addr), touch=False)
+        line = self._lines.get(self._block_base(addr))
         if line is None or line.words is None:
             return None
         return line.words[self._word_off(addr)]

@@ -16,16 +16,28 @@ __all__ = ["CacheLine", "CacheArray"]
 
 
 class CacheLine:
-    """One way of one set."""
+    """One way of one set.
 
-    __slots__ = ("tag", "state", "words", "pinned", "aux")
+    A line materialized by a :class:`CacheArray` also carries its PLRU
+    touch (``plru_bits``, the set's tree bits, and ``plru_path``, the
+    writes that mark this way most-recently-used) and ``index``, the
+    array's tag -> line dict, which :meth:`clear` keeps exact.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("tag", "state", "words", "pinned", "aux", "plru_bits",
+                 "plru_path", "index")
+
+    def __init__(self, plru_bits: list[int] | None = None,
+                 plru_path: tuple[tuple[int, int], ...] = (),
+                 index: dict | None = None) -> None:
         self.tag: int | None = None    # block-aligned byte address
         self.state: Any = None          # controller-owned state object
         self.words: list[int] | None = None
         self.pinned = False             # outstanding transaction: not evictable
         self.aux: Any = None            # controller scratch (e.g. sharer set)
+        self.plru_bits = plru_bits
+        self.plru_path = plru_path
+        self.index = index
 
     @property
     def valid(self) -> bool:
@@ -33,7 +45,10 @@ class CacheLine:
         return self.tag is not None
 
     def clear(self) -> None:
-        """Return the line to the empty state."""
+        """Return the line to the empty state (dropping its tag from the
+        array's index)."""
+        if self.tag is not None and self.index is not None:
+            del self.index[self.tag]
         self.tag = None
         self.state = None
         self.words = None
@@ -121,53 +136,59 @@ class _PlruTree:
 
 
 class CacheArray:
-    """The tag/data RAM of one cache: sets x ways of :class:`CacheLine`."""
+    """The tag/data RAM of one cache: sets x ways of :class:`CacheLine`.
 
-    __slots__ = ("cfg", "_sets", "_plru", "_blk_shift", "_set_mask")
+    ``lines`` maps the tag of every valid line to the line, so a lookup
+    is one dict probe whatever the associativity.  Only :meth:`install`
+    and :meth:`CacheLine.clear` change a tag, and both keep the dict
+    exact; :meth:`restore` refills the same dict object, so a
+    controller may hold it as an alias.
+    """
+
+    __slots__ = ("cfg", "_sets", "_plru", "_blk_shift", "_set_mask",
+                 "lines")
 
     def __init__(self, cfg: CacheConfig) -> None:
         self.cfg = cfg
         # geometry is power-of-two by construction (CacheConfig), so the
-        # hot set_index is one shift + one mask; rows materialize lazily
-        # — a run touching a fraction of a large L2 never allocates the
-        # rest
+        # set index is one shift + one mask; sets and their ways
+        # materialize lazily, way by way in way order — a run touching a
+        # fraction of a large L2 never allocates the rest
         self._blk_shift = cfg.block_bytes.bit_length() - 1
         self._set_mask = cfg.num_sets - 1
         self._sets: list[list[CacheLine] | None] = [None] * cfg.num_sets
         self._plru: list[_PlruTree | None] = [None] * cfg.num_sets
+        #: tag -> line of every valid line
+        self.lines: dict[int, CacheLine] = {}
 
     def _ways(self, idx: int) -> list[CacheLine]:
-        """Fetch-or-materialize one set's ways (and its PLRU tree)."""
+        """Fetch-or-materialize one set's way list (and its PLRU tree).
+        The list holds the ways materialized so far, in way order."""
         ways = self._sets[idx]
         if ways is None:
-            assoc = self.cfg.assoc
-            ways = [CacheLine() for _ in range(assoc)]
-            self._sets[idx] = ways
-            self._plru[idx] = _PlruTree(assoc)
+            ways = self._sets[idx] = []
+            self._plru[idx] = _PlruTree(self.cfg.assoc)
         return ways
+
+    def _add_way(self, idx: int, ways: list[CacheLine]) -> CacheLine:
+        """Materialize the next way of set ``idx``."""
+        tree = self._plru[idx]
+        line = CacheLine(tree.bits, tree.paths[len(ways)], self.lines)
+        ways.append(line)
+        return line
 
     # -- lookup ---------------------------------------------------------
     def lookup(self, block_addr: int, touch: bool = True) -> CacheLine | None:
         """The line holding ``block_addr``, or None on tag miss.
 
-        With ``touch`` a hit also marks the line most-recently-used; the
-        PLRU path writes run here, so a hit is a single array call.
-        """
-        idx = (block_addr >> self._blk_shift) & self._set_mask
-        ways = self._sets[idx]
-        if ways is None:
-            return None
-        way = 0
-        for line in ways:
-            if line.tag == block_addr:
-                if touch:
-                    tree = self._plru[idx]
-                    bits = tree.bits
-                    for node, bit in tree.paths[way]:
-                        bits[node] = bit
-                return line
-            way += 1
-        return None
+        With ``touch`` a hit also marks the line most-recently-used (the
+        line's own PLRU path writes)."""
+        line = self.lines.get(block_addr)
+        if line is not None and touch:
+            bits = line.plru_bits
+            for node, bit in line.plru_path:
+                bits[node] = bit
+        return line
 
     # -- allocation -------------------------------------------------------
     def find_free_or_victim(
@@ -183,6 +204,9 @@ class CacheArray:
         for line in ways:
             if not line.valid and not line.pinned:
                 return line
+        if len(ways) < self.cfg.assoc:
+            # the lowest never-used way, as in a fully materialized set
+            return self._add_way(idx, ways)
         victim_way = self._plru[idx].victim(
             lambda w: not ways[w].pinned and evictable(ways[w])
         )
@@ -191,11 +215,16 @@ class CacheArray:
     def install(self, line: CacheLine, block_addr: int) -> None:
         """Claim a line for a new tag and mark it most-recently-used."""
         idx = (block_addr >> self._blk_shift) & self._set_mask
-        ways = self._ways(idx)
-        if line not in ways:
+        if line not in self._ways(idx):
             raise ValueError("line does not belong to the target set")
+        lines = self.lines
+        if line.tag is not None:
+            del lines[line.tag]
         line.tag = block_addr
-        self._plru[idx].touch(ways.index(line))
+        lines[block_addr] = line
+        bits = line.plru_bits
+        for node, bit in line.plru_path:
+            bits[node] = bit
 
     # -- checkpoint layer ---------------------------------------------
     def snapshot(self) -> dict:
@@ -220,11 +249,15 @@ class CacheArray:
         """Adopt :meth:`snapshot` state (unlisted sets dematerialize)."""
         self._sets = [None] * self.cfg.num_sets
         self._plru = [None] * self.cfg.num_sets
+        self.lines.clear()
         for idx, lines, bits in blob["sets"]:
             ways = self._ways(idx)
-            self._plru[idx].bits = list(bits)
-            for ln, (tag, state, words, pinned, aux) in zip(ways, lines):
+            self._plru[idx].bits[:] = bits
+            for tag, state, words, pinned, aux in lines:
+                ln = self._add_way(idx, ways)
                 ln.tag = tag
+                if tag is not None:
+                    self.lines[tag] = ln
                 ln.state = state
                 ln.words = None if words is None else list(words)
                 ln.pinned = pinned
@@ -250,7 +283,7 @@ class CacheArray:
 
     def occupancy(self) -> int:
         """Number of valid lines in the array."""
-        return sum(1 for _ in self.iter_valid())
+        return len(self.lines)
 
     def state_arrays(self, state_code: Callable[[Any], int]):
         """Columnar snapshot of every valid line, sorted by tag.

@@ -26,6 +26,7 @@ modifications "simple and local to the L1 level of the hierarchy" (§3.2).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 from repro.cache.l2 import L2Slice
 from repro.coherence.messages import Message, ProtocolError
@@ -170,7 +171,7 @@ class DirectoryAgent:
         e.busy = True
         lat = self.cfg.dir_access_latency
         if lat:
-            self.engine.schedule(lat, lambda: self._dispatch(e, msg))
+            self.engine.schedule(lat, partial(self._dispatch, e, msg))
         else:
             self._dispatch(e, msg)
 
@@ -204,7 +205,7 @@ class DirectoryAgent:
             # keep the entry busy while the queue drains so a request
             # arriving in the gap cannot jump ahead of queued ones
             nxt = e.pending.popleft()
-            self.engine.schedule(1, lambda: self._start(e, nxt))
+            self.engine.schedule(1, partial(self._start, e, nxt))
         else:
             e.busy = False
             if e.idle_and_empty():

@@ -20,7 +20,7 @@ class ProtocolError(RuntimeError):
 class Message:
     """One coherence message: type, block, src/dst nodes, and payload."""
     __slots__ = ("mtype", "block_addr", "src", "dst", "requestor", "words",
-                 "stale", "addr", "value", "shared")
+                 "stale", "addr", "value", "shared", "seq")
 
     def __init__(
         self,
@@ -55,6 +55,7 @@ class Message:
         #: marks an upgrade-grant ACK that leaves the requestor in S (the
         #: directory fanned the write out as UPDATEs instead of INVs)
         self.shared = shared
+        # ``seq`` (send order) is stamped by ``Network.send``
 
     def payload_bytes(self, block_bytes: int, control_bytes: int) -> int:
         """Wire size: header for control messages, plus the block for data."""

@@ -15,13 +15,19 @@ remove the bottleneck"); any miss, sync op, or exhausted quantum yields
 back to the scheduler.  The resulting event-order skew is bounded by the
 quantum and is configurable down to 1 for strictly ordered runs.
 
-Per memory op the loop makes exactly one call into the L1,
-:meth:`~repro.cache.l1.L1Controller.access`, with the hit latency and
-the controller's bound method held in locals; the approximate-region
-lookup runs only while an ``approx_begin`` region is active.
+The core itself runs as one persistent generator, :meth:`Core._run`:
+the engine schedules its ``__next__`` (``Core._step``), a miss
+completes through its ``send`` (``Core._resume``), and a sync wakeup
+through ``Core._wake``.  Its locals — the op classes, the hit latency,
+the L1's bound ``access``, the counter dict — are bound once per run,
+not once per step.  Per memory op the loop makes exactly one call into
+the L1, :meth:`~repro.cache.l1.L1Controller.access`; the
+approximate-region lookup runs only while an ``approx_begin`` region
+is active.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Generator, Iterator
 
 from repro.cache.l1 import L1Controller
@@ -95,6 +101,7 @@ class Core:
             ProgramRecorder() if record and self._factory is not None
             else None
         )
+        self._new_runner()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -102,17 +109,18 @@ class Core:
         if self._started:
             raise RuntimeError(f"core {self.cid} already started")
         self._started = True
-        self.engine.schedule_tagged(0, self._step, self._step_tag)
+        self.engine.schedule(0, self._step)
 
-    def _resume_with(self, value: int | None) -> None:
-        """Continuation for miss completion / sync wakeup."""
-        self._c["stall_cycles"] += self.engine.now - self._blocked_since
-        self.blocked_op = None
-        self._pending_send = value
-        self._step()
-
-    def _wake(self) -> None:
-        self._resume_with(None)
+    def _new_runner(self) -> None:
+        """Build the generator that executes this core (:meth:`_run`)
+        and bind its entry points: ``_step`` (the scheduled, tagged
+        event), ``_resume`` (miss completion, carrying the load value)
+        and ``_wake`` (sync wakeup, an untagged event)."""
+        runner = self._run()
+        self._step = runner.__next__
+        self._resume = runner.send
+        self._wake = partial(runner.send, None)
+        self.engine.tag(self._step, self._step_tag)
 
     # inert: never called; ``perfbench/`` binds it (ROADMAP item 2)
     def _deoptimize(self) -> None:
@@ -179,105 +187,143 @@ class Core:
             replay_to_completion(self._factory, blob["sends"])
         else:
             self.program = resync_generator(self._factory, blob["sends"])
+        self._new_runner()
 
     # ------------------------------------------------------------------
-    def _step(self) -> None:
-        """Run ops until a blocking op or the quantum is exhausted."""
+    def _run(self) -> Generator[None, "int | None", None]:
+        """The core's execution loop.
+
+        Each resumption runs ops until a blocking op or the quantum is
+        exhausted, then suspends at a ``yield``: a miss waits for
+        ``_resume(value)``, a sync op for ``_wake()``, an exhausted
+        quantum for its scheduled ``_step()``.  The generator is the
+        core's whole execution, so its locals are bound once per run;
+        ``_pending_send``, ``_blocked_since`` and ``blocked_op`` are
+        written where a checkpoint or the watchdog reads them.
+        """
         if self.done:
-            return
+            while True:
+                yield
         budget = self.quantum_cycles
-        elapsed = 0
         hit_latency = self._hit_latency
         st = self._c
         engine = self.engine
-        access = self.l1.access
+        l1 = self.l1
+        access = l1.access
         approx = self.approx
-
+        resume = self._resume
+        wake = self._wake
+        cid = self.cid
         program = self.program
+        fetch = program.__next__
+        send = getattr(program, "send", None)
         sends = None if self._recorder is None else self._recorder.sends
-        while elapsed < budget:
-            try:
-                if self._pending_send is not None:
-                    value, self._pending_send = self._pending_send, None
-                    if sends is not None:
-                        sends.append(value)
-                    op = program.send(value)
-                else:
-                    if sends is not None:
-                        sends.append(None)
-                    op = next(program)
-            except StopIteration:
-                self._finish(elapsed)
-                return
+        Load, Store, Scribble, Compute = (isa.Load, isa.Store, isa.Scribble,
+                                          isa.Compute)
+        # a restored core resumes with the value its checkpoint owed the
+        # program, and from the sync op it was blocked on
+        value, self._pending_send = self._pending_send, None
+        if self.blocked_op is not None:
+            st["stall_cycles"] += engine.now - self._blocked_since
+            self.blocked_op = None
 
-            cls = type(op)
-            if cls is isa.Load:
-                st["mem_ops"] += 1
-                hit, val = access(_LOAD, op.addr, None, self._resume_with)
-                if hit:
-                    elapsed += hit_latency
-                    self._pending_send = val
-                    continue
-                self._blocked_since = engine.now
-                self.blocked_op = f"LOAD {op.addr:#x}"
-                return
-            if cls is isa.Store or cls is isa.Scribble:
-                st["mem_ops"] += 1
-                atype = _SCRIBBLE if (
-                    cls is isa.Scribble
-                    or (approx.enabled and approx.is_approx(op.addr))
-                ) else _STORE
-                hit, _ = access(atype, op.addr, op.value, self._resume_with)
-                if hit:
-                    elapsed += hit_latency
-                    # stores produce no value; send(None) ~ next()
-                    continue
-                self._blocked_since = engine.now
-                self.blocked_op = (
-                    f"{atype.value.upper()} {op.addr:#x} = {op.value:#x}"
-                )
-                return
-            if cls is isa.Compute:
-                st["compute_cycles"] += op.cycles
-                elapsed += op.cycles
-                continue
-            if cls is isa.BarrierWait:
-                self._blocked_since = engine.now
-                self.blocked_op = "BARRIER_WAIT"
-                op.barrier.arrive(self._wake, self.cid)
-                st["barrier_waits"] += 1
-                return
-            if cls is isa.Acquire:
-                self._blocked_since = engine.now
-                self.blocked_op = "ACQUIRE"
-                op.lock.acquire(self.cid, self._wake)
-                return
-            if cls is isa.Release:
-                op.lock.release(self.cid)
-                elapsed += _PRAGMA_COST
-                continue
-            if cls is isa.SetAprx:
-                self.l1.set_approx(op.d_distance)
-                elapsed += _PRAGMA_COST
-                continue
-            if cls is isa.EndAprx:
-                self.l1.end_approx()
-                elapsed += _PRAGMA_COST
-                continue
-            if cls is isa.ApproxBegin:
-                self.approx.begin(op.ranges)
-                elapsed += _PRAGMA_COST
-                continue
-            if cls is isa.ApproxEnd:
-                self.approx.end(op.ranges)
-                elapsed += _PRAGMA_COST
-                continue
-            if cls is isa.FlushApprox:
-                self.l1.flush_approx()
-                elapsed += _PRAGMA_COST
-                continue
-            raise TypeError(f"thread program yielded {op!r}")
+        while True:
+            elapsed = 0
+            while elapsed < budget:
+                if sends is not None:
+                    sends.append(value)
+                try:
+                    if value is None:
+                        op = fetch()
+                    else:
+                        op = send(value)
+                        value = None
+                except StopIteration:
+                    self._finish(elapsed)
+                    while True:
+                        yield
 
-        # quantum exhausted: let other events interleave
-        st["quantum_yields"] += 1
-        engine.schedule_tagged(elapsed, self._step, self._step_tag)
+                cls = type(op)
+                if cls is Load:
+                    st["mem_ops"] += 1
+                    hit, val = access(_LOAD, op.addr, None, resume)
+                    if hit:
+                        elapsed += hit_latency
+                        value = val
+                        continue
+                    self._blocked_since = since = engine.now
+                    self.blocked_op = f"LOAD {op.addr:#x}"
+                    value = yield
+                    st["stall_cycles"] += engine.now - since
+                    self.blocked_op = None
+                    elapsed = 0
+                    continue
+                if cls is Store or cls is Scribble:
+                    st["mem_ops"] += 1
+                    atype = _SCRIBBLE if (
+                        cls is Scribble
+                        or (approx.enabled and approx.is_approx(op.addr))
+                    ) else _STORE
+                    hit, _ = access(atype, op.addr, op.value, resume)
+                    if hit:
+                        elapsed += hit_latency
+                        continue
+                    self._blocked_since = since = engine.now
+                    self.blocked_op = (
+                        f"{atype.value.upper()} {op.addr:#x} = {op.value:#x}"
+                    )
+                    yield  # stores produce no value
+                    st["stall_cycles"] += engine.now - since
+                    self.blocked_op = None
+                    elapsed = 0
+                    continue
+                if cls is Compute:
+                    st["compute_cycles"] += op.cycles
+                    elapsed += op.cycles
+                    continue
+                if cls is isa.BarrierWait or cls is isa.Acquire:
+                    self._blocked_since = since = engine.now
+                    if cls is isa.BarrierWait:
+                        self.blocked_op = "BARRIER_WAIT"
+                        op.barrier.arrive(wake, cid)
+                        st["barrier_waits"] += 1
+                    else:
+                        self.blocked_op = "ACQUIRE"
+                        op.lock.acquire(cid, wake)
+                    yield
+                    st["stall_cycles"] += engine.now - since
+                    self.blocked_op = None
+                    elapsed = 0
+                    continue
+                if cls is isa.Release:
+                    op.lock.release(cid)
+                    elapsed += _PRAGMA_COST
+                    continue
+                if cls is isa.SetAprx:
+                    l1.set_approx(op.d_distance)
+                    elapsed += _PRAGMA_COST
+                    continue
+                if cls is isa.EndAprx:
+                    l1.end_approx()
+                    elapsed += _PRAGMA_COST
+                    continue
+                if cls is isa.ApproxBegin:
+                    approx.begin(op.ranges)
+                    elapsed += _PRAGMA_COST
+                    continue
+                if cls is isa.ApproxEnd:
+                    approx.end(op.ranges)
+                    elapsed += _PRAGMA_COST
+                    continue
+                if cls is isa.FlushApprox:
+                    l1.flush_approx()
+                    elapsed += _PRAGMA_COST
+                    continue
+                raise TypeError(f"thread program yielded {op!r}")
+
+            # quantum exhausted: let other events interleave
+            st["quantum_yields"] += 1
+            engine.schedule(elapsed, self._step)
+            self._pending_send = value
+            yield
+            self._pending_send = None

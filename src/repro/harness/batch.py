@@ -4,15 +4,15 @@ Groups a grid's points into lockstep *lane groups* — points that differ
 only in the swept ``d_distance`` / ``gi_timeout`` knobs — and drives
 each group through the :mod:`repro.sim.batch` engine: one serial
 representative run per decision-equivalence class, every provably
-identical lane served from it, disagreeing lanes peeled back to the
-ordinary per-point generator interpreter (``Core._step``).  The contract is exactly
+identical lane served from it, disagreeing lanes peeled back to an
+ordinary serial run of their own point.  The contract is exactly
 :func:`repro.harness.parallel.fan_out` over ``_run_point``: one outcome
 (``RunRow`` or ``GridFailure``) per point in input order, ``on_result``
 fired as each point finalizes — so the store/resume/commit machinery of
 ``run_grid`` composes unchanged.
 
 Trust-but-verify: for every share event, :data:`VERIFY_SHARED_SAMPLE`
-of the shared lanes re-run through the serial interpreter and their
+of the shared lanes re-run as ordinary serial points and their
 rows are compared against the batch-built rows.  A mismatch (which the
 soundness argument says cannot happen — this is the backstop for that
 argument) degrades the *whole* share set to serial execution, so the

@@ -14,15 +14,21 @@ bounded retry with backoff and per-point wall-clock budgets.  Results
 are aggregated in parameter order and are bit-identical to a serial
 run.  A point that raises — e.g. a configuration that genuinely
 deadlocks — becomes a :class:`~repro.harness.parallel.GridFailure` row;
-sibling points still complete.
+sibling points still complete.  A keyword that neither
+:func:`~repro.harness.experiment.run_workload` nor the workload's
+constructor accepts raises ``TypeError`` at the call, before any point
+runs or is committed.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.harness.experiment import DEFAULT_SCALE, DEFAULT_THREADS, RunRow
+from repro.harness.experiment import (
+    DEFAULT_SCALE, DEFAULT_THREADS, RunRow, run_workload,
+)
 from repro.harness.options import RunOptions
 from repro.harness.parallel import GridFailure, GridPoint, run_grid
 
@@ -93,6 +99,49 @@ class SweepResult:
         return "\n".join(lines)
 
 
+_NAMED = (inspect.Parameter.POSITIONAL_OR_KEYWORD,
+          inspect.Parameter.KEYWORD_ONLY)
+
+
+def _keywords(fn) -> tuple[set[str], bool]:
+    """Named parameters of ``fn``, and whether it takes ``**kwargs``."""
+    params = inspect.signature(fn).parameters.values()
+    return ({p.name for p in params if p.kind in _NAMED},
+            any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params))
+
+
+def _check_keywords(workload: str, kwargs: dict) -> None:
+    """Raise ``TypeError`` for a keyword that neither
+    :func:`run_workload` nor ``workload``'s constructor accepts.
+
+    Forwarded into every point, such a keyword would fail each one and a
+    store would commit the failures.  An unknown workload is left to
+    fail in its points, as before.
+    """
+    from repro.workloads.registry import ALL_WORKLOADS
+
+    cls = ALL_WORKLOADS.get(workload)
+    if cls is None or not kwargs:
+        return
+    accepted, _ = _keywords(run_workload)
+    # follow ``**kwargs`` pass-through up the constructor chain
+    for klass in cls.__mro__:
+        init = klass.__dict__.get("__init__")
+        if init is None:
+            continue
+        names, more = _keywords(init)
+        accepted |= names
+        if not more:
+            break
+    unknown = sorted(set(kwargs) - accepted)
+    if unknown:
+        raise TypeError(
+            f"sweep over {workload!r} got unexpected keyword argument(s) "
+            f"{', '.join(unknown)}: neither run_workload nor "
+            f"{cls.__name__} accepts them"
+        )
+
+
 def _sweep(parameter: str, values: Sequence, points: list[GridPoint], *,
            options: RunOptions | None) -> SweepResult:
     if options is not None:
@@ -111,6 +160,7 @@ def sweep_d_distance(workload: str, d_values: Sequence[int] = (0, 2, 4, 8, 16),
                      **kwargs) -> SweepResult:
     """Accuracy/benefit trade-off curve over the d-distance knob
     (``d=0`` runs baseline MESI)."""
+    _check_keywords(workload, kwargs)
     points = [
         GridPoint(workload, dict(d_distance=d, num_threads=num_threads,
                                  scale=scale, seed=seed, **kwargs),
@@ -125,6 +175,7 @@ def sweep_threads(workload: str, thread_counts: Sequence[int] = (1, 2, 4, 8),
                   seed: int = 12345, options: RunOptions | None = None,
                   **kwargs) -> SweepResult:
     """Scalability curve (the Fig. 1 methodology, for any workload)."""
+    _check_keywords(workload, kwargs)
     points = [
         GridPoint(workload, dict(d_distance=d_distance, num_threads=t,
                                  scale=scale, seed=seed, **kwargs),
@@ -142,6 +193,7 @@ def sweep_gi_timeout(workload: str,
                      options: RunOptions | None = None,
                      **kwargs) -> SweepResult:
     """The Fig. 12 methodology, for any workload."""
+    _check_keywords(workload, kwargs)
     points = [
         GridPoint(workload, dict(d_distance=d_distance, gi_timeout=t,
                                  num_threads=num_threads, scale=scale,
@@ -167,6 +219,7 @@ def sweep_protocols(workload: str = "bad_dot_product",
     """
     from repro.coherence.policy import available_protocols, get_protocol
 
+    _check_keywords(workload, kwargs)
     if protocols is None:
         protocols = available_protocols()
     points = [
@@ -197,6 +250,7 @@ def sweep_topology_scale(workload: str = "bad_dot_product",
     """
     from repro.noc.topologies import available_topologies
 
+    _check_keywords(workload, kwargs)
     if topologies is None:
         topologies = available_topologies()
     values = [(t, c) for t in topologies for c in core_counts]

@@ -13,6 +13,7 @@ energy model (Fig. 9).
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.common.config import NocConfig
@@ -27,12 +28,17 @@ __all__ = ["Network"]
 
 
 class Network:
-    """Routes :class:`Message` objects between registered endpoints."""
+    """Routes :class:`Message` objects between registered endpoints.
+
+    A delivery is one queued ``functools.partial(handler, msg)``: the
+    handler is picked when the message is sent, and nothing else tracks
+    the message until it arrives, so :meth:`in_flight` reads the wire
+    off the engine queue.
+    """
 
     __slots__ = ("cfg", "topo", "engine", "stats", "block_bytes",
-                 "_endpoints", "_class_counts", "_in_flight", "fault_hook",
-                 "bus", "_c", "_route_memo", "_data_payload",
-                 "_ctrl_payload")
+                 "_endpoints", "_class_counts", "fault_hook", "bus", "_c",
+                 "_routes", "_data_payload", "_ctrl_payload", "_sent")
 
     def __init__(self, cfg: NocConfig, engine: Engine, block_bytes: int,
                  stats: StatGroup | None = None) -> None:
@@ -42,7 +48,10 @@ class Network:
         self.engine = engine
         self.block_bytes = block_bytes
         self.stats = stats if stats is not None else StatGroup("noc")
-        self._endpoints: dict[int, Callable[[Message], None]] = {}
+        #: node -> (handler of L1-bound messages, handler of
+        #: directory-bound ones), indexed by ``MessageType.to_directory``
+        self._endpoints: dict[int, tuple[Callable[[Message], None],
+                                         Callable[[Message], None]]] = {}
         # eagerly materialize the Fig. 8 class counters, keyed by the
         # class's string value: a str key hashes in C, an enum member
         # through the Python-level Enum.__hash__ (and the per-message
@@ -57,27 +66,32 @@ class Network:
             "payload_bytes",
         )
         # (src, dst, payload) -> (latency, flits, flit_hops, traversals):
-        # the route terms are pure functions of the mesh geometry, and a
-        # run sees only a handful of distinct (endpoints, payload) pairs
-        self._route_memo: dict[tuple[int, int, int],
-                               tuple[int, int, int, int]] = {}
-        #: messages sent but not yet delivered (id -> message); lets the
-        #: invariant monitor skip blocks with traffic in flight and the
-        #: watchdog dump what is stuck on the wire
-        self._in_flight: dict[int, Message] = {}
+        # the route terms are pure functions of the topology's config,
+        # so the memo lives on the (memoized, shared) topology object
+        self._routes = self.topo.route_costs
+        #: messages sent so far; stamps each message's ``seq`` so
+        #: :meth:`in_flight` can list the wire in send order
+        self._sent = 0
         #: optional fault-injection hook, called once per send; may
         #: corrupt ``msg.words`` and returns extra delivery delay cycles
         self.fault_hook: Callable[[Message], int] | None = None
         #: event bus (repro.obs); None keeps send() to one attribute check
         self.bus = None
 
-    def register(self, node: int, handler: Callable[[Message], None]) -> None:
-        """Bind the message handler for a mesh node (one per node)."""
+    def register(self, node: int, handler: Callable[[Message], None],
+                 directory: Callable[[Message], None] | None = None) -> None:
+        """Bind the message handlers of a mesh node (once per node).
+
+        ``directory`` receives the messages addressed to a home agent
+        (``MessageType.to_directory``) and ``handler`` the rest; without
+        ``directory``, ``handler`` receives every message.
+        """
         if not 0 <= node < self.cfg.num_nodes:
             raise ValueError(f"node {node} outside mesh")
         if node in self._endpoints:
             raise ValueError(f"node {node} already registered")
-        self._endpoints[node] = handler
+        self._endpoints[node] = (
+            handler, handler if directory is None else directory)
 
     # -- transport -------------------------------------------------------
     def send(self, msg: Message, extra_delay: int = 0) -> None:
@@ -86,30 +100,33 @@ class Network:
         ``extra_delay`` lets a sender fold local processing time (e.g. an
         L2 array access) into the same scheduling step.
         """
-        handler = self._endpoints.get(msg.dst)
-        if handler is None:
+        ends = self._endpoints.get(msg.dst)
+        if ends is None:
             raise ValueError(f"no endpoint registered at node {msg.dst}")
         mtype = msg.mtype
         payload = (self._data_payload if mtype.carries_data
                    else self._ctrl_payload)
-        latency = self._entry(msg.src, msg.dst, payload,
-                              mtype.klass._value_)
-        bus = self.bus
-        if bus is not None:
-            bus.emit(Event(
+        key = (msg.src, msg.dst, payload)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._route(key)
+        self._class_counts[mtype.klass._value_] += 1
+        c = self._c
+        c["messages"] += 1
+        c["flits"] += route[1]
+        c["flit_hops"] += route[2]
+        c["router_traversals"] += route[3]
+        c["payload_bytes"] += payload
+        if self.bus is not None:
+            self.bus.emit(Event(
                 self.engine.now, EventKind.MSG, msg.src, msg.block_addr,
                 mtype.label, mtype.klass.value, msg.dst,
             ))
         if self.fault_hook is not None:
             extra_delay += self.fault_hook(msg)
-        in_flight = self._in_flight
-        in_flight[id(msg)] = msg
-
-        def deliver() -> None:
-            del in_flight[id(msg)]
-            handler(msg)
-
-        self.engine.schedule(latency + extra_delay, deliver)
+        self._sent = msg.seq = self._sent + 1
+        self.engine.schedule(route[0] + extra_delay,
+                             partial(ends[mtype.to_directory], msg))
 
     def account_transfer(
         self, src: int, dst: int, data: bool,
@@ -119,53 +136,64 @@ class Network:
         return its latency, without delivering a message object.  Used for
         hops the home agent orchestrates directly."""
         payload = self._data_payload if data else self._ctrl_payload
-        return self._entry(src, dst, payload, klass._value_)
-
-    def _entry(self, src: int, dst: int, payload: int, klass: str) -> int:
-        """Account one transfer of Fig. 8 class value ``klass`` and
-        return its latency (memoized route)."""
         key = (src, dst, payload)
-        ent = self._route_memo.get(key)
-        if ent is None:
-            cfg, topo = self.cfg, self.topo
-            flits = cfg.flits(payload)
-            ent = (
-                cfg.message_latency(src, dst, payload),
-                flits,
-                flits * topo.hops(src, dst),
-                flits * topo.route_routers(src, dst),
-            )
-            self._route_memo[key] = ent
-        self._class_counts[klass] += 1
+        route = self._routes.get(key)
+        if route is None:
+            route = self._route(key)
+        self._class_counts[klass._value_] += 1
         c = self._c
         c["messages"] += 1
-        c["flits"] += ent[1]
-        c["flit_hops"] += ent[2]
-        c["router_traversals"] += ent[3]
+        c["flits"] += route[1]
+        c["flit_hops"] += route[2]
+        c["router_traversals"] += route[3]
         c["payload_bytes"] += payload
-        return ent[0]
+        return route[0]
+
+    def _route(self, key: tuple[int, int, int]) -> tuple[int, int, int, int]:
+        """Compute and memoize the ``(latency, flits, flit_hops,
+        router traversals)`` of one ``(src, dst, payload)`` transfer."""
+        src, dst, payload = key
+        cfg, topo = self.cfg, self.topo
+        flits = cfg.flits(payload)
+        route = self._routes[key] = (
+            cfg.message_latency(src, dst, payload),
+            flits,
+            flits * topo.hops(src, dst),
+            flits * topo.route_routers(src, dst),
+        )
+        return route
 
     # -- introspection -----------------------------------------------------
+    def _wire(self):
+        """Undelivered messages, in delivery order: the arguments of the
+        queued deliveries (the only queued events that are a
+        ``partial`` over one :class:`Message`)."""
+        for cb in self.engine.queued():
+            if type(cb) is partial and cb.args and type(cb.args[0]) is Message:
+                yield cb.args[0]
+
     def in_flight(self) -> list[Message]:
-        """Messages currently on the wire (sent, not yet delivered)."""
-        return list(self._in_flight.values())
+        """Messages currently on the wire (sent, not yet delivered), in
+        send order."""
+        return sorted(self._wire(), key=lambda m: m.seq)
 
     def blocks_in_flight(self) -> set[int]:
         """Block addresses with at least one undelivered message."""
-        return {m.block_addr for m in self._in_flight.values()}
+        return {m.block_addr for m in self._wire()}
 
     # -- checkpoint layer --------------------------------------------------
     def snapshot(self) -> dict:
         """Restorable transport state: the per-class message counters.
 
         Requires an empty wire — an undelivered :class:`Message`'s
-        ``deliver`` closure cannot round-trip, so checkpoints are only
-        taken when nothing is in flight."""
+        delivery event cannot round-trip, so checkpoints are only taken
+        when nothing is in flight."""
         from repro.sim.engine import CheckpointUnsupported
 
-        if self._in_flight:
+        in_flight = self.in_flight()
+        if in_flight:
             raise CheckpointUnsupported(
-                f"{len(self._in_flight)} message(s) in flight; snapshot "
+                f"{len(in_flight)} message(s) in flight; snapshot "
                 "requires an empty network"
             )
         return {"class_counts": dict(self._class_counts)}
@@ -175,7 +203,6 @@ class Network:
         counts = blob["class_counts"]
         self._class_counts = {klass.value: counts[klass.value]
                               for klass in MessageClass}
-        self._in_flight = {}
 
     # -- reporting ---------------------------------------------------------
     def class_counts(self) -> dict[MessageClass, int]:

@@ -67,6 +67,11 @@ class Topology(ABC):
 
     def __init__(self, cfg: "NocConfig") -> None:
         self.cfg = cfg
+        #: ``(src, dst, payload)`` -> ``(latency, flits, flit_hops,
+        #: router traversals)``: the route memo of every network built
+        #: on this topology (filled by :class:`repro.noc.network.Network`)
+        self.route_costs: dict[tuple[int, int, int],
+                               tuple[int, int, int, int]] = {}
 
     # -- config hooks (classmethods: usable before directory defaulting) --
     @classmethod

@@ -24,8 +24,8 @@ matches the representative's or provably never mattered because the
 timer was never armed — would have executed a bit-identical simulation,
 so the representative's finished machine **is** that lane's result.
 Lanes that disagree anywhere *peel*: they drop out of the batch and
-recurse with a new representative, ultimately falling back to the
-ordinary per-point ``Core._step`` interpreter.
+recurse with a new representative, ultimately falling back to an
+ordinary serial run of the point.
 
 Soundness of the substitution rule (why a passed prediction can never
 share a wrong result): at a recorded check with programmed distance

@@ -1,8 +1,12 @@
 """Deterministic discrete-event simulation kernel.
 
-A single binary-heap event queue keyed by ``(cycle, seq)``; ``seq`` is a
-monotonically increasing tie-breaker so same-cycle events fire in the
-order they were scheduled, which makes every run bit-reproducible.
+Pending events live in one FIFO list per cycle (``_buckets``) plus a
+binary heap of the distinct pending cycles (``_cycles``).  An event
+scheduled for cycle ``c`` is appended to ``c``'s list, so events of one
+cycle fire in the order they were scheduled — including zero-delay
+events a callback adds to the cycle being dispatched — which makes
+every run bit-reproducible.  Scheduling costs a dict probe and a list
+append; only the first event of a new cycle touches the heap.
 
 The engine knows nothing about caches or cores — components schedule
 callbacks.  Long runs are bounded by ``max_cycles`` (deadlock insurance);
@@ -11,7 +15,7 @@ exceeding it raises :class:`SimulationTimeout` rather than spinning.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Callable, Iterator
 
 __all__ = ["Engine", "SimulationTimeout", "SimulationError",
            "CheckpointUnsupported"]
@@ -43,12 +47,19 @@ class CheckpointUnsupported(SimulationError):
 class Engine:
     """Minimal event-driven scheduler with a global cycle clock."""
 
-    __slots__ = ("_queue", "_seq", "now", "events_executed", "_running",
-                 "timeout_hook")
+    __slots__ = ("_buckets", "_cycles", "_tags", "_live", "now",
+                 "events_executed", "_running", "timeout_hook")
 
     def __init__(self) -> None:
-        self._queue: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
+        #: cycle -> callbacks due then, in scheduling order
+        self._buckets: dict[int, list[Callable[[], None]]] = {}
+        #: heap of the keys of ``_buckets``
+        self._cycles: list[int] = []
+        #: callback -> restorable identity (see :meth:`tag`)
+        self._tags: dict[Callable[[], None], tuple] = {}
+        #: iterator over the bucket being dispatched (None between
+        #: cycles): its events before the iterator's position have run
+        self._live: Iterator[Callable[[], None]] | None = None
         self.now = 0
         self.events_executed = 0
         self._running = False
@@ -60,8 +71,13 @@ class Engine:
         """Run ``callback`` ``delay`` cycles from now (delay >= 0)."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, callback))
+        cycle = self.now + delay
+        bucket = self._buckets.get(cycle)
+        if bucket is None:
+            self._buckets[cycle] = [callback]
+            heapq.heappush(self._cycles, cycle)
+        else:
+            bucket.append(callback)
 
     def schedule_at(self, cycle: int, callback: Callable[[], None]) -> None:
         """Run ``callback`` at an absolute cycle (>= now)."""
@@ -73,45 +89,76 @@ class Engine:
         self.schedule(cycle - self.now, callback)
 
     # -- tagged scheduling (checkpoint layer) -------------------------
-    # Tagged events carry a picklable identity alongside the callback so
-    # the queue can round-trip through a checkpoint: snapshot() stores
-    # (cycle, seq, tag), restore() re-binds each tag to a fresh callback.
-    # Kept as separate methods (a 4th tuple element, not a kwarg on
-    # schedule()) so the untagged hot path stays byte-identical; mixed
-    # 3-/4-tuples coexist safely in the heap because seq is unique and
-    # tuple comparison never reaches the callback slot.
+    # A tag is a picklable identity for a callback, kept in a registry
+    # beside the queue: snapshot() stores (cycle, position, tag) for each
+    # queued event and restore() re-binds each tag to a fresh callback.
+    # Only snapshot()/all_tagged() read the registry, so tagging costs
+    # the dispatch loop nothing.
+
+    def tag(self, callback: Callable[[], None], tag: tuple) -> None:
+        """Give ``callback`` a restorable identity: every queued event
+        of it (scheduled through any method) is then checkpointable."""
+        self._tags[callback] = tag
 
     def schedule_tagged(self, delay: int, callback: Callable[[], None],
                         tag: tuple) -> None:
-        """:meth:`schedule`, with a restorable identity for ``callback``."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        self._seq += 1
-        heapq.heappush(self._queue,
-                       (self.now + delay, self._seq, callback, tag))
+        """:meth:`tag`, then :meth:`schedule`."""
+        self._tags[callback] = tag
+        self.schedule(delay, callback)
+
+    def _tag_of(self, callback: Callable[[], None]) -> tuple | None:
+        try:
+            return self._tags.get(callback)
+        except TypeError:  # an unhashable callable was never tagged
+            return None
+
+    def _ran(self) -> int:
+        """Events of the bucket being dispatched that have already run
+        (or are running)."""
+        live = self._live
+        if live is None:
+            return 0
+        return len(self._buckets[self._cycles[0]]) - live.__length_hint__()
+
+    def _events(self) -> Iterator[tuple[int, Callable[[], None]]]:
+        """``(cycle, callback)`` of every pending event, in run order (a
+        callback asking sees neither itself nor the events run before
+        it)."""
+        skip = self._ran()
+        for cycle in sorted(self._buckets):
+            for callback in self._buckets[cycle][skip:]:
+                yield cycle, callback
+            skip = 0
+
+    def queued(self) -> Iterator[Callable[[], None]]:
+        """Every pending callback, in the order they will run."""
+        return (callback for _cycle, callback in self._events())
 
     def all_tagged(self) -> bool:
         """True when every queued event carries a restorable tag."""
-        return all(len(ev) == 4 for ev in self._queue)
+        return all(self._tag_of(cb) is not None for cb in self.queued())
 
     def snapshot(self) -> dict:
-        """Restorable queue state: clock, seq counter, tagged events.
+        """Restorable queue state: clock, event count, tagged events.
 
         Raises :class:`CheckpointUnsupported` if any queued event is an
         anonymous closure (untagged) — those are in-flight transaction
-        continuations the checkpoint layer cannot rebuild.
+        continuations the checkpoint layer cannot rebuild.  Each event is
+        stored as ``(cycle, position, tag)``, ``position`` numbering the
+        queue in run order.
         """
         events = []
-        for ev in sorted(self._queue):
-            if len(ev) != 4:
+        for cycle, callback in self._events():
+            tag = self._tag_of(callback)
+            if tag is None:
                 raise CheckpointUnsupported(
-                    f"untagged event at cycle {ev[0]} (seq {ev[1]}): "
-                    "not a checkpointable safe point"
+                    f"untagged event at cycle {cycle} (position "
+                    f"{len(events) + 1}): not a checkpointable safe point"
                 )
-            events.append((ev[0], ev[1], ev[3]))
+            events.append((cycle, len(events) + 1, tag))
         return {
             "now": self.now,
-            "seq": self._seq,
+            "seq": len(events),
             "events_executed": self.events_executed,
             "events": events,
         }
@@ -127,24 +174,34 @@ class Engine:
         replaying an event into the past.
         """
         now = blob["now"]
-        events = []
-        for cycle, seq, tag in blob["events"]:
+        buckets: dict[int, list[Callable[[], None]]] = {}
+        tags: dict[Callable[[], None], tuple] = {}
+        for cycle, _pos, tag in sorted(blob["events"],
+                                       key=lambda ev: ev[:2]):
             if cycle < now:
                 raise ValueError(
                     f"cannot restore event {tag!r} at absolute cycle "
                     f"{cycle}: it is in the past (checkpoint clock is {now})"
                 )
-            events.append((cycle, seq, resolve(tag), tag))
+            callback = resolve(tag)
+            tags[callback] = tag
+            buckets.setdefault(cycle, []).append(callback)
         self.now = now
-        self._seq = blob["seq"]
         self.events_executed = blob["events_executed"]
-        self._queue = events
-        heapq.heapify(self._queue)
+        self._buckets = buckets
+        self._cycles = list(buckets)
+        heapq.heapify(self._cycles)
+        self._tags.update(tags)
 
     def pending(self) -> int:
         """Number of events still queued."""
-        return len(self._queue)
+        return sum(map(len, self._buckets.values())) - self._ran()
 
+    def next_cycle(self) -> int | None:
+        """Cycle of the earliest queued event (None when idle)."""
+        return self._cycles[0] if self._cycles else None
+
+    # -- dispatch --------------------------------------------------------
     def run(self, max_cycles: int = 500_000_000, max_events: int | None = None) -> int:
         """Drain the queue; returns the final cycle count.
 
@@ -153,67 +210,19 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run() is not re-entrant")
-        self._running = True
-        try:
-            queue = self._queue
-            pop = heapq.heappop
-            executed = self.events_executed
-            while queue:
-                # batch dispatch: advance the clock once per distinct
-                # cycle, then drain every event at that cycle (including
-                # zero-delay events the callbacks add) in seq order —
-                # the limit checks and clock writes leave the per-event
-                # inner loop, which is the simulator's hottest path
-                cycle = queue[0][0]
-                if cycle > max_cycles:
-                    self.events_executed = executed
-                    raise SimulationTimeout(self._timeout_message(
-                        f"simulation exceeded {max_cycles} cycles"
-                    ))
-                self.now = cycle
-                if max_events is None:
-                    while queue and queue[0][0] == cycle:
-                        executed += 1
-                        pop(queue)[2]()
-                else:
-                    while queue and queue[0][0] == cycle:
-                        executed += 1
-                        if executed > max_events:
-                            self.events_executed = executed
-                            raise SimulationTimeout(self._timeout_message(
-                                f"simulation exceeded {max_events} events"
-                            ))
-                        pop(queue)[2]()
-        finally:
-            self.events_executed = executed
-            self._running = False
+        self._dispatch(None, max_cycles, max_events,
+                       f"simulation exceeded {max_events} events")
         return self.now
-
-    def _timeout_message(self, what: str) -> str:
-        """Timeout diagnostics: cycle, event and queue counts, plus
-        whatever context the installed :attr:`timeout_hook` provides."""
-        msg = (
-            f"{what} at cycle {self.now} "
-            f"({self.events_executed} events executed, "
-            f"{len(self._queue)} events still pending); "
-            "likely deadlock or unfinished thread program"
-        )
-        if self.timeout_hook is not None:
-            try:
-                msg += "\n" + self.timeout_hook()
-            except Exception as exc:  # diagnostics must never mask the timeout
-                msg += f"\n(timeout hook failed: {exc!r})"
-        return msg
 
     def run_until(self, cycle: int, max_events: int | None = None, *,
                   advance_clock: bool = True) -> int:
         """Execute events up to and including ``cycle``; later events stay
         queued.  Useful for stepping tests through protocol epochs.
 
-        Dispatches with the same same-cycle batching as :meth:`run` and
-        shares its diagnostics: ``max_events`` bounds the number of
-        events executed by *this call*, raising :class:`SimulationTimeout`
-        through :meth:`_timeout_message` (including any installed
+        Dispatches exactly as :meth:`run` does and shares its
+        diagnostics: ``max_events`` bounds the number of events executed
+        by *this call*, raising :class:`SimulationTimeout` through
+        :meth:`_timeout_message` (including any installed
         ``timeout_hook`` context) when exceeded — insurance against a
         zero-delay self-rescheduling loop that would otherwise spin
         forever inside one cycle.
@@ -226,26 +235,99 @@ class Engine:
         """
         if self._running:
             raise SimulationError("Engine.run_until() is not re-entrant")
+        budget = (None if max_events is None
+                  else self.events_executed + max_events)
+        self._dispatch(cycle, None, budget,
+                       f"run_until exceeded {max_events} events")
+        if advance_clock and self.now < cycle:
+            self.now = cycle
+        return self.now
+
+    def _dispatch(self, until: int | None, max_cycles: int | None,
+                  budget: int | None, budget_what: str) -> None:
+        """Run every queued cycle up to ``until`` (all of them when None),
+        one cycle's bucket at a time.
+
+        Raises :class:`SimulationTimeout` before a cycle past
+        ``max_cycles`` and before the event that would make
+        ``events_executed`` exceed ``budget``; that event stays queued.
+        A callback that raises has been consumed, and the events after
+        it stay queued.
+        """
         self._running = True
+        buckets = self._buckets
+        cycles = self._cycles
+        pop = heapq.heappop
         executed = self.events_executed
-        budget = None if max_events is None else executed + max_events
+        it = None
         try:
-            queue = self._queue
-            pop = heapq.heappop
-            while queue and queue[0][0] <= cycle:
-                evc = queue[0][0]
-                self.now = evc
-                while queue and queue[0][0] == evc:
-                    executed += 1
-                    if budget is not None and executed > budget:
-                        self.events_executed = executed
-                        raise SimulationTimeout(self._timeout_message(
-                            f"run_until exceeded {max_events} events"
-                        ))
-                    pop(queue)[2]()
-            if advance_clock and self.now < cycle:
+            while cycles:
+                cycle = cycles[0]
+                if until is not None and cycle > until:
+                    break
+                if max_cycles is not None and cycle > max_cycles:
+                    self.events_executed = executed
+                    raise SimulationTimeout(self._timeout_message(
+                        f"simulation exceeded {max_cycles} cycles"
+                    ))
                 self.now = cycle
+                bucket = buckets[cycle]
+                # iterating the live list also runs the zero-delay events
+                # the callbacks append to it
+                it = self._live = iter(bucket)
+                if budget is None:
+                    for cb in it:
+                        cb()
+                    executed += len(bucket)
+                else:
+                    for cb in it:
+                        executed += 1
+                        if executed > budget:
+                            # the event just taken stays queued
+                            self._consume(cycle, bucket,
+                                          len(bucket) - it.__length_hint__()
+                                          - 1)
+                            it = self._live = None
+                            self.events_executed = executed
+                            raise SimulationTimeout(
+                                self._timeout_message(budget_what))
+                        cb()
+                it = self._live = None
+                del buckets[cycle]
+                pop(cycles)
+        except BaseException:
+            if it is not None:
+                # a callback raised: drop the events dispatched so far
+                done = len(bucket) - it.__length_hint__()
+                if budget is None:
+                    executed += done
+                self._live = None
+                self._consume(cycle, bucket, done)
+            raise
         finally:
             self.events_executed = executed
             self._running = False
-        return self.now
+
+    def _consume(self, cycle: int, bucket: list, done: int) -> None:
+        """Drop the first ``done`` events of the (earliest) ``cycle``."""
+        if done >= len(bucket):
+            del self._buckets[cycle]
+            heapq.heappop(self._cycles)
+        else:
+            del bucket[:done]
+
+    def _timeout_message(self, what: str) -> str:
+        """Timeout diagnostics: cycle, event and queue counts, plus
+        whatever context the installed :attr:`timeout_hook` provides."""
+        msg = (
+            f"{what} at cycle {self.now} "
+            f"({self.events_executed} events executed, "
+            f"{self.pending()} events still pending); "
+            "likely deadlock or unfinished thread program"
+        )
+        if self.timeout_hook is not None:
+            try:
+                msg += "\n" + self.timeout_hook()
+            except Exception as exc:  # diagnostics must never mask the timeout
+                msg += f"\n(timeout hook failed: {exc!r})"
+        return msg

@@ -6,14 +6,15 @@ and one (L1, core) pair per core node, and provides the run loop plus
 the post-run statistics bundle the harness consumes.
 
 Directory nodes coincide with core tiles (corners host both an L1 and a
-directory controller), so each mesh endpoint demultiplexes incoming
-messages by type: requests/responses addressed to the home go to the
-agent, everything else to the L1 (``MessageType.to_directory`` is the
-routing bit).
+directory controller), so each mesh endpoint registers two handlers and
+the network picks one by message type when it sends: requests/responses
+addressed to the home go to the agent, everything else to the L1
+(``MessageType.to_directory`` is the routing bit).
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator
 
 from repro.cache.l1 import L1Controller
@@ -52,6 +53,10 @@ def machine_hook(fn):
         yield fn
     finally:
         _CONSTRUCTION_HOOKS.remove(fn)
+
+
+def _unroutable(what: str, node: int, msg: Message) -> None:
+    raise ProtocolError(f"no {what} at node {node}: {msg}")
 
 
 class Machine:
@@ -102,7 +107,7 @@ class Machine:
         self._barriers: list[Barrier] = []
         self._locks: list[Lock] = []
         for node in range(cfg.noc.num_nodes):
-            self.network.register(node, self._make_endpoint(node))
+            self.network.register(*self._endpoint(node))
         # verification-and-faults layer (all off by default; see
         # VerifyConfig / FaultConfig)
         self.monitor: InvariantMonitor | None = None
@@ -168,21 +173,17 @@ class Machine:
         return self.bus
 
     # ------------------------------------------------------------------
-    def _make_endpoint(self, node: int):
+    def _endpoint(self, node: int) -> tuple:
+        """``Network.register`` arguments of one node: its L1's and its
+        directory's message handlers (a missing one raises on use)."""
         agent = self.agents.get(node)
         l1 = self.l1s[node] if node < self.cfg.num_cores else None
-
-        def dispatch(msg: Message) -> None:
-            if msg.mtype.to_directory:
-                if agent is None:
-                    raise ProtocolError(f"no directory at node {node}: {msg}")
-                agent.receive(msg)
-            else:
-                if l1 is None:
-                    raise ProtocolError(f"no L1 at node {node}: {msg}")
-                l1.receive(msg)
-
-        return dispatch
+        return (
+            node,
+            partial(_unroutable, "L1", node) if l1 is None else l1.receive,
+            (partial(_unroutable, "directory", node) if agent is None
+             else agent.receive),
+        )
 
     # ------------------------------------------------------------------
     # program setup
@@ -303,10 +304,9 @@ class Machine:
         eng = self.engine
         if rec is None:
             return eng.run(max_cycles=max_cycles)
-        queue = eng._queue
         period = rec.period
-        while queue:
-            nxt = queue[0][0]
+        nxt = eng.next_cycle()
+        while nxt is not None:
             if nxt > max_cycles:
                 # delegate so the timeout message (and its diagnostics)
                 # is byte-identical to the unchunked path
@@ -314,11 +314,13 @@ class Machine:
             cap = min(((nxt // period) + 1) * period, max_cycles)
             eng.run_until(cap, advance_clock=False)
             tries = self._SAFE_POINT_SEARCH
-            while queue and queue[0][0] <= max_cycles:
+            nxt = eng.next_cycle()
+            while nxt is not None and nxt <= max_cycles:
                 if rec.maybe_capture(self) is not None or tries == 0:
                     break
                 tries -= 1
-                eng.run_until(queue[0][0], advance_clock=False)
+                eng.run_until(nxt, advance_clock=False)
+                nxt = eng.next_cycle()
         return eng.now
 
     def _finalize(self, active: list[Core], end: int) -> int:

@@ -130,3 +130,97 @@ class TestLruBehaviour:
                 v.clear()
             arr.install(v, blk)
         assert arr.lookup(hot) is not None
+
+
+def _index_exact(arr: CacheArray) -> bool:
+    return arr.lines == {ln.tag: ln for ln in arr.iter_valid()}
+
+
+class TestTagIndex:
+    """``CacheArray.lines`` maps exactly the valid tags to their lines."""
+
+    @given(st.lists(st.tuples(st.integers(0, 11), st.booleans()),
+                    max_size=80))
+    def test_exact_through_installs_and_evictions(self, ops):
+        cfg = _cfg(size=512, assoc=4, block=64)  # 2 sets
+        arr = CacheArray(cfg)
+        for blk, drop in ops:
+            block = blk * 64
+            line = arr.lookup(block)
+            if line is not None:
+                if drop:
+                    line.clear()
+            else:
+                line = arr.find_free_or_victim(block, lambda l: True)
+                if line.valid:
+                    line.clear()
+                arr.install(line, block)
+            assert _index_exact(arr)
+            assert all(arr.lookup(t, touch=False).tag == t
+                       for t in arr.lines)
+
+    def test_reinstall_without_clear_drops_old_tag(self):
+        arr = CacheArray(_cfg())
+        line = arr.find_free_or_victim(0x40, lambda l: True)
+        arr.install(line, 0x40)
+        arr.install(line, 0x40 + 64 * arr.cfg.num_sets)
+        assert arr.lookup(0x40) is None
+        assert _index_exact(arr)
+
+    def test_restore_refills_the_same_dict(self):
+        arr = CacheArray(_cfg(assoc=4))
+        for b in range(6):
+            line = arr.find_free_or_victim(b * 64, lambda l: True)
+            arr.install(line, b * 64)
+            line.words = [b] * 16
+        blob = arr.snapshot()
+        index = arr.lines
+        arr.lookup(0).clear()
+        extra = arr.find_free_or_victim(0x4000, lambda l: True)
+        arr.install(extra, 0x4000)
+        arr.restore(blob)
+        assert arr.lines is index
+        assert _index_exact(arr)
+        assert sorted(arr.lines) == [b * 64 for b in range(6)]
+        assert arr.lookup(0x4000) is None
+        assert arr.lookup(0).words == [0] * 16
+
+    def test_ways_materialize_in_way_order(self):
+        cfg = _cfg(size=512, assoc=4, block=64)
+        arr = CacheArray(cfg)
+        stride = 64 * cfg.num_sets
+        got = []
+        for i in range(4):
+            line = arr.find_free_or_victim(i * stride, lambda l: True)
+            arr.install(line, i * stride)
+            got.append(line)
+        assert list(arr.iter_lines()) == got
+        # a cleared way is reused before any victim is chosen
+        got[1].clear()
+        assert arr.find_free_or_victim(9 * stride, lambda l: True) is got[1]
+
+
+def test_l1_alias_survives_restore():
+    """The L1 probes the array's dict through an alias; a restore must
+    refill that dict, not replace it."""
+    from tests.conftest import build_machine, run_scripts
+    from repro.isa.instructions import Load, Store
+
+    def writer():
+        yield Store(0x4000, 5)
+        yield Load(0x4040)
+
+    def reader():
+        yield Load(0x4000)
+
+    m = build_machine(2)
+    run_scripts(m, writer(), reader())
+    l1 = m.l1s[0]
+    blob = l1.snapshot()
+    fresh = build_machine(2).l1s[0]
+    fresh.restore(blob)
+    assert fresh._lines is fresh.array.lines
+    assert _index_exact(fresh.array)
+    assert sorted(fresh._lines) == sorted(l1._lines)
+    assert fresh.state_of(0x4000) == l1.state_of(0x4000)
+    assert fresh.peek_word(0x4000) == l1.peek_word(0x4000)

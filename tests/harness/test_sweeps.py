@@ -6,7 +6,8 @@ import pytest
 from repro.harness.experiment import RunRow
 from repro.harness.parallel import GridFailure
 from repro.harness.sweeps import (
-    SweepResult, sweep_d_distance, sweep_gi_timeout, sweep_threads,
+    SweepResult, sweep_d_distance, sweep_gi_timeout, sweep_protocols,
+    sweep_threads, sweep_topology_scale,
 )
 from repro.verify.watchdog import DeadlockError
 
@@ -120,3 +121,42 @@ class TestTimeoutSweep:
         assert res.values == (128, 1024)
         for row in res.rows:
             assert row.cycles > 0
+
+
+class TestStrayKeywords:
+    """A keyword neither ``run_workload`` nor the workload's constructor
+    accepts raises at the call instead of failing every point."""
+
+    def test_unknown_keyword_raises_and_commits_nothing(self, tmp_path,
+                                                        monkeypatch):
+        import repro.harness.parallel as par
+        from repro.harness.options import RunOptions
+        from repro.store.result_store import ResultStore
+
+        ran = []
+        real = par.run_workload
+        monkeypatch.setattr(par, "run_workload",
+                            lambda *a, **kw: ran.append(kw) or real(*a, **kw))
+        db = str(tmp_path / "sweep.db")
+        with pytest.raises(TypeError, match="jobs"):
+            sweep_d_distance("bad_dot_product", (0, 4), num_threads=2,
+                             scale=0.05, options=RunOptions(store=db),
+                             jobs=2)
+        assert ran == []
+        with ResultStore(db) as store:
+            assert len(store) == 0
+
+    @pytest.mark.parametrize("sweep", [sweep_threads, sweep_gi_timeout,
+                                       sweep_protocols,
+                                       sweep_topology_scale])
+    def test_every_sweep_checks(self, sweep):
+        with pytest.raises(TypeError, match="no_such_knob"):
+            sweep("bad_dot_product", no_such_knob=1)
+
+    def test_constructor_keywords_pass(self):
+        # ``reload_every`` is StoreThroughDotProduct's own keyword and
+        # ``n_points`` reaches its base class through ``**kwargs``
+        res = sweep_d_distance("store_through_dot_product", (0,),
+                               num_threads=2, scale=0.05, n_points=64,
+                               reload_every=8)
+        assert isinstance(res.rows[0], RunRow)

@@ -101,3 +101,65 @@ class TestAccounting:
     def test_data_message_requires_words(self):
         with pytest.raises(Exception):
             Message(MessageType.DATA, 0x40, src=0, dst=1)
+
+
+class TestInFlight:
+    """The wire is read off the engine queue: undelivered messages, in
+    send order, whatever order they arrive in."""
+
+    def test_send_order_not_delivery_order(self):
+        engine, net = _net(cols=4, rows=4)
+        arrived = []
+        seen_from_handler = []
+
+        def handler(msg):
+            arrived.append(msg)
+            seen_from_handler.append(list(net.in_flight()))
+
+        for node in (1, 15):
+            net.register(node, handler)
+        far = Message(MessageType.DATA, 0x40, src=0, dst=15, words=[0] * 16)
+        near = Message(MessageType.GETS, 0x80, src=0, dst=1)
+        late = Message(MessageType.INV, 0xc0, src=0, dst=1)
+        for msg in (far, near):
+            net.send(msg)
+        engine.run_until(0)
+        net.send(late, extra_delay=3)
+        assert net.in_flight() == [far, near, late]
+        assert net.blocks_in_flight() == {0x40, 0x80, 0xc0}
+        engine.run()
+        assert arrived == [near, late, far]
+        # a handler sees neither its own message nor earlier arrivals
+        assert seen_from_handler == [[far, late], [far], []]
+        assert net.in_flight() == [] and net.blocks_in_flight() == set()
+
+    def test_blocks_in_flight_agrees_with_in_flight(self):
+        engine, net = _net(cols=4, rows=4)
+        net.register(3, lambda m: None)
+        net.register(12, lambda m: None)
+        for i in range(6):
+            net.send(Message(MessageType.GETS, 0x40 * (i % 4), src=i % 2,
+                             dst=3 if i % 3 else 12))
+            engine.run_until(engine.now + 1)
+            assert net.blocks_in_flight() == {
+                m.block_addr for m in net.in_flight()}
+        assert [m.seq for m in net.in_flight()] == sorted(
+            m.seq for m in net.in_flight())
+
+    def test_other_queued_events_are_not_messages(self):
+        engine, net = _net()
+        net.register(1, lambda m: None)
+        engine.schedule(1, lambda: None)
+        net.send(Message(MessageType.GETS, 0x40, src=0, dst=1))
+        assert [m.block_addr for m in net.in_flight()] == [0x40]
+        assert engine.pending() == 2
+
+    def test_directory_handler_picked_at_send(self):
+        engine, net = _net()
+        got = []
+        net.register(1, lambda m: got.append(("l1", m.mtype)),
+                     lambda m: got.append(("dir", m.mtype)))
+        net.send(Message(MessageType.GETS, 0x40, src=0, dst=1))
+        net.send(Message(MessageType.INV, 0x40, src=0, dst=1))
+        engine.run()
+        assert got == [("dir", MessageType.GETS), ("l1", MessageType.INV)]

@@ -22,13 +22,8 @@ def _machine(flight_depth=64):
 
 def _wedge(m):
     """Swallow non-directory messages to node 1 so a FWD_GETS dies."""
-    orig = m.network._endpoints[1]
-
-    def handler(msg):
-        if msg.mtype.to_directory:
-            orig(msg)
-
-    m.network._endpoints[1] = handler
+    _l1, directory = m.network._endpoints[1]
+    m.network._endpoints[1] = (lambda msg: None, directory)
 
 
 def test_flight_ring_armed_without_full_tracing():

@@ -52,13 +52,9 @@ def test_wedged_transaction_dump_names_the_culprits():
     m.add_thread(0, requestor())
 
     def swallow_l1_messages_to_node1():
-        orig = m.network._endpoints[1]
-
-        def handler(msg):
-            if msg.mtype.to_directory:
-                orig(msg)   # the node may also host a directory agent
-
-        m.network._endpoints[1] = handler
+        # keep the directory handler: the node may also host an agent
+        _l1, directory = m.network._endpoints[1]
+        m.network._endpoints[1] = (lambda msg: None, directory)
 
     m.engine.schedule(400, swallow_l1_messages_to_node1)
     with pytest.raises(DeadlockError) as exc:
@@ -118,3 +114,43 @@ def test_timeout_message_carries_core_status_and_dump():
     assert "core status:" in msg
     assert "core 0: UNFINISHED" in msg
     assert "diagnostic dump" in msg
+
+
+def test_wire_dump_lists_in_flight_messages_in_send_order():
+    """The dump's ``noc in flight`` lines, pinned mid-run: messages are
+    listed in send order, which is not delivery order (messages sent
+    after the GETS to the far node 7 arrive before it)."""
+    from tests.conftest import build_machine
+
+    m = build_machine(4, enabled=False)
+
+    def prog(cid):
+        yield Load(BLK + 4 * cid)
+        yield Load(BLK + 64 * (1 + cid))
+        yield Compute(40 if cid else 60)
+        yield Store(BLK, 7 + cid)
+        yield Load(BLK + 64 * ((2 + cid) % 4 + 1))
+
+    for cid in range(4):
+        m.add_thread(cid, prog(cid))
+    wire = {}
+
+    def grab(cycle):
+        wire[cycle] = [line for line in diagnostic_dump(m).splitlines()
+                       if line.startswith("noc")]
+
+    for cycle in (233, 267):
+        m.engine.schedule(cycle, lambda cycle=cycle: grab(cycle))
+    m.run()
+    assert wire[233] == [
+        "noc in flight: Message(INV 0x4000 0->0)",
+        "noc in flight: Message(INV 0x4000 0->2)",
+        "noc in flight: Message(INV 0x4000 0->3)",
+    ]
+    # CHAIN_ACK 0x4100 3->0, sent after the GETS, has already arrived
+    assert wire[267] == [
+        "noc in flight: Message(GETS 0x40c0 0->7, req=0)",
+        "noc in flight: Message(FWD_DATA 0x4100 3->1)",
+        "noc in flight: Message(FWD_DATA 0x4000 0->2)",
+        "noc in flight: Message(GETX 0x4000 3->0, req=3)",
+    ]
